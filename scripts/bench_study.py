@@ -222,8 +222,11 @@ def bench_qoe(scale: str, seed: int | None, jobs: int = 1,
     then times the vectorized engine and the scalar reference on the
     same prebuilt workload — engine throughput, with the analytic
     cache-model solve kept out of both sides of the ratio — and checks
-    golden-digest equivalence on a shared slice.  ``sessions``
-    overrides the scale's session count.
+    golden-digest equivalence on a shared slice.  The cache-model solve
+    (``CdnModel.site_hit_ratios`` on a fresh model) is timed on its own
+    as ``hit_ratio_solve_s``, so the row accounts for the whole phase,
+    not only the engine.  ``sessions`` overrides the scale's session
+    count.
     """
     import dataclasses
 
@@ -245,7 +248,11 @@ def bench_qoe(scale: str, seed: int | None, jobs: int = 1,
         journal.close(counters=study.perf.counters or None)
     breakdown = phase_breakdown(journal.events).get("qoe_sessions", {})
 
-    workload = build_session_workload(scenario, model=CdnModel(scenario))
+    model = CdnModel(scenario)
+    start = time.perf_counter()
+    model.site_hit_ratios
+    hit_ratio_solve = time.perf_counter() - start
+    workload = build_session_workload(scenario, model=model)
     start = time.perf_counter()
     for arm in ARMS:
         run_sessions(workload, arm, jobs=jobs)
@@ -269,6 +276,7 @@ def bench_qoe(scale: str, seed: int | None, jobs: int = 1,
         "abr": result.abr,
         "hit_ratio_mean": round(result.hit_ratio_mean, 4),
         "phase_wall_s": round(phase_wall, 6),
+        "hit_ratio_solve_s": round(hit_ratio_solve, 6),
         "wall_s": round(engine_wall, 6),
         "sessions_per_s": round(sessions_per_s, 1),
         "reference_sessions": reference_sessions,
@@ -675,7 +683,9 @@ def main(argv: list[str] | None = None) -> int:
               f"{qoe_stats['arms']} arms in {qoe_stats['wall_s']:.3f}s "
               f"({qoe_stats['sessions_per_s']:.0f}/s vectorized vs "
               f"{qoe_stats['reference_sessions_per_s']:.0f}/s scalar, "
-              f"{qoe_stats['speedup']}x)")
+              f"{qoe_stats['speedup']}x); phase "
+              f"{qoe_stats['phase_wall_s']:.3f}s, hit-ratio solve "
+              f"{qoe_stats['hit_ratio_solve_s']:.3f}s")
         if not qoe_stats["digest_match"]:
             print("qoe-digest: FAILED, vectorized output diverges from "
                   "the scalar reference")

@@ -1,11 +1,16 @@
 """Tests for the analytic edge-cache model (repro.cdn).
 
 The Che approximation is checked against its defining fixed point, the
+interpolated LRU curve against the exact per-site Newton solve, the
 TTL closed form against its formula, and the per-site model against
 the determinism/ordering invariants the session engine relies on.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,9 +22,16 @@ from repro.cdn import (
     ttl_hit_ratios,
     zipf_weights,
 )
-from repro.cdn.model import OBJECT_MB, SITE_ALPHA_JITTER
+from repro.cdn import model as cdn_model
+from repro.cdn.model import (
+    CHEBYSHEV_NODES,
+    OBJECT_MB,
+    SITE_ALPHA_JITTER,
+    _lru_hit_ratio_exact,
+)
 from repro.config import Scenario
 from repro.errors import ConfigurationError
+from repro.qoe import build_session_workload, run_sessions
 
 
 class TestZipfWeights:
@@ -59,6 +71,18 @@ class TestCheCharacteristicTime:
         with pytest.raises(ConfigurationError):
             che_characteristic_time(rates, 100.0)
 
+    def test_capacity_at_requested_objects_rejected(self):
+        """Zero-rate objects are never cached: they do not count."""
+        rates = np.array([1.0, 0.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError):
+                che_characteristic_time(rates, 2.0)
+            with pytest.raises(ConfigurationError):
+                che_characteristic_time(rates, 1.0)
+            t_c = che_characteristic_time(rates, 0.5)
+        assert t_c == pytest.approx(math.log(2.0), rel=1e-9)
+
 
 class TestLruHitRatioCurve:
     def test_bigger_cache_never_hurts(self):
@@ -79,8 +103,21 @@ class TestLruHitRatioCurve:
                                     5000, 200.0)
         assert np.all(np.diff(curve) > 0)
 
+    def test_non_positive_capacity_rejected(self):
+        for capacity in (0.0, -5.0):
+            with pytest.raises(ConfigurationError):
+                lru_hit_ratio_curve(np.array([0.7, 0.9]), 100, capacity)
+            with pytest.raises(ConfigurationError):
+                lru_hit_ratio_curve(np.array([]), 100, capacity)
+
+    def test_empty_alphas(self):
+        for capacity in (50.0, 100.0):
+            curve = lru_hit_ratio_curve(np.array([]), 100, capacity)
+            assert curve.shape == (0,)
+
     def test_matches_scalar_solver(self):
-        """The blocked vectorized bisection equals per-site solves."""
+        """The blocked vectorized Newton solve equals per-site
+        bisection solves."""
         alphas = np.array([0.62, 0.85, 1.07])
         catalog, capacity = 3000, 120.0
         curve = lru_hit_ratio_curve(alphas, catalog, capacity)
@@ -90,6 +127,88 @@ class TestLruHitRatioCurve:
             hits = 1.0 - np.exp(-weights * t_c)
             expected = float(np.sum(weights * hits))
             assert curve[site] == pytest.approx(expected, rel=1e-6)
+
+
+def _city_model() -> CdnModel:
+    return CdnModel(Scenario.city_scale())
+
+
+def _max_error_against_oracle(model: CdnModel, sites: np.ndarray) -> float:
+    catalog = model.scenario.qoe_catalog_objects
+    curve = lru_hit_ratio_curve(model.site_alphas, catalog,
+                                model.capacity_objects)
+    exact = _lru_hit_ratio_exact(model.site_alphas[sites], catalog,
+                                 model.capacity_objects)
+    return float(np.max(np.abs(curve[sites] - exact)))
+
+
+class TestChebyshevInterpolant:
+    """The interpolated LRU curve against the exact per-site oracle."""
+
+    @pytest.mark.parametrize("scale", ["smoke", "default", "paper"])
+    def test_every_site_matches_oracle(self, scale):
+        scenario = {"smoke": Scenario.smoke_scale,
+                    "default": Scenario,
+                    "paper": Scenario.paper_scale}[scale]()
+        model = CdnModel(scenario)
+        assert model.site_alphas.size > CHEBYSHEV_NODES
+        sites = np.arange(model.site_alphas.size)
+        assert _max_error_against_oracle(model, sites) <= 1e-9
+
+    def test_city_sample_matches_oracle(self):
+        """A seeded 512-site sample plus both ends of the alpha band."""
+        model = _city_model()
+        alphas = model.site_alphas
+        sample = np.random.default_rng(20220822).choice(
+            alphas.size, 512, replace=False)
+        sites = np.unique(np.concatenate(
+            [sample, [alphas.argmin(), alphas.argmax()]]))
+        assert _max_error_against_oracle(model, sites) <= 1e-9
+
+    def test_city_solves_only_the_nodes(self, monkeypatch):
+        """The exact solver sees the nodes, never the 4000 sites."""
+        solved = []
+
+        def counting(alphas, catalog, capacity):
+            solved.append(np.asarray(alphas).size)
+            return _lru_hit_ratio_exact(alphas, catalog, capacity)
+
+        monkeypatch.setattr(cdn_model, "_lru_hit_ratio_exact", counting)
+        model = _city_model()
+        ratios = model.site_hit_ratios
+        assert ratios.shape == (4000,)
+        assert 0 < sum(solved) <= CHEBYSHEV_NODES
+
+    def test_wide_band_falls_back_to_exact(self):
+        """An unresolved curve is solved exactly at every site."""
+        alphas = np.linspace(0.1, 3.0, CHEBYSHEV_NODES + 8)
+        curve = lru_hit_ratio_curve(alphas, 50_000, 128.0)
+        exact = _lru_hit_ratio_exact(alphas, 50_000, 128.0)
+        assert np.array_equal(curve, exact)
+
+    @pytest.mark.parametrize("alphas", [
+        np.linspace(0.6, 1.0, CHEBYSHEV_NODES),
+        np.full(100, 0.8),
+    ])
+    def test_few_sites_or_one_alpha_solved_exactly(self, alphas):
+        curve = lru_hit_ratio_curve(alphas, 5000, 100.0)
+        assert np.array_equal(curve,
+                              _lru_hit_ratio_exact(alphas, 5000, 100.0))
+
+    def test_edge_digest_unchanged_at_default_scale(self):
+        """Interpolated and exact ratios give the same edge sessions."""
+        scenario = Scenario().with_overrides(qoe_session_count=20_000)
+        model = CdnModel(scenario)
+        interpolated = build_session_workload(scenario, model=model)
+        exact_ratios = _lru_hit_ratio_exact(
+            model.site_alphas, scenario.qoe_catalog_objects,
+            model.capacity_objects)
+        assert not np.array_equal(interpolated.site_hit_ratios,
+                                  exact_ratios)
+        exact = dataclasses.replace(interpolated,
+                                    site_hit_ratios=exact_ratios)
+        assert (run_sessions(interpolated, "edge").digest
+                == run_sessions(exact, "edge").digest)
 
 
 class TestTtlHitRatios:
