@@ -296,17 +296,23 @@ def bench_live(scale: str, seed: int | None, jobs: int = 1,
     """Benchmark the vectorized live stepper against its scalar twin.
 
     Runs the full ``live`` study phase (journaled — its ``peak_rss_mb``
-    sample is the city-tier memory row), then times the vectorized
-    stepper on the full precomputed inputs and the per-server scalar
-    reference on a ``reference_ticks`` prefix of the *same* inputs, and
-    checks digest equivalence of the two steppers on that shared
-    prefix.  ``ticks`` overrides the scale's tick count.
+    sample is the city-tier memory row), then re-runs the phase's
+    layers one at a time, as :func:`repro.live.run_live` chains them:
+    NEP build (``platform_build_s``), fault schedule
+    (``fault_schedule_s``, 0 with faults off), input precompute
+    (``inputs_s``) and the vectorized tick loop (``tick_loop_s``).  The
+    per-server scalar reference then runs on a ``reference_ticks``
+    prefix of the *same* inputs, and the two steppers' digests are
+    compared on that shared prefix.  ``ticks`` overrides the scale's
+    tick count.
     """
     import dataclasses
 
+    from repro.faults.schedule import build_fault_schedule
     from repro.live import (build_live_inputs, run_live_engine,
                             run_reference_engine)
     from repro.obs import RunJournal, phase_breakdown
+    from repro.platform.cloud import build_cloud_platform
     from repro.platform.nep import build_nep_platform
     from repro.study import EdgeStudy
 
@@ -320,11 +326,24 @@ def bench_live(scale: str, seed: int | None, jobs: int = 1,
         journal.close(counters=study.perf.counters or None)
     breakdown = phase_breakdown(journal.events).get("live", {})
 
-    inputs = build_live_inputs(scenario, build_nep_platform(scenario))
+    start = time.perf_counter()
+    platform = build_nep_platform(scenario)
+    platform_build = time.perf_counter() - start
+    faults, fault_schedule = None, 0.0
+    if scenario.fault_profile != "off":
+        start = time.perf_counter()
+        faults = build_fault_schedule(
+            scenario, platform,
+            build_cloud_platform(scenario, name="AliCloud",
+                                 servers_per_region=4))
+        fault_schedule = time.perf_counter() - start
+    start = time.perf_counter()
+    inputs = build_live_inputs(scenario, platform, faults)
+    inputs_wall = time.perf_counter() - start
     start = time.perf_counter()
     run_live_engine(inputs)
-    engine_wall = time.perf_counter() - start
-    ticks_per_s = inputs.ticks / max(engine_wall, 1e-9)
+    tick_loop = time.perf_counter() - start
+    ticks_per_s = inputs.ticks / max(tick_loop, 1e-9)
 
     reference_ticks = min(reference_ticks, inputs.ticks)
     slice_inputs = dataclasses.replace(
@@ -342,7 +361,10 @@ def bench_live(scale: str, seed: int | None, jobs: int = 1,
         "servers": result.servers,
         "autoscale": result.autoscale,
         "phase_wall_s": round(phase_wall, 6),
-        "wall_s": round(engine_wall, 6),
+        "platform_build_s": round(platform_build, 6),
+        "fault_schedule_s": round(fault_schedule, 6),
+        "inputs_s": round(inputs_wall, 6),
+        "tick_loop_s": round(tick_loop, 6),
         "ticks_per_s": round(ticks_per_s, 1),
         "reference_ticks": reference_ticks,
         "reference_ticks_per_s": round(reference_per_s, 1),
@@ -713,11 +735,15 @@ def main(argv: list[str] | None = None) -> int:
                                 ticks=args.live_ticks)
         fresh["live"] = live_stats
         print(f"  live: {live_stats['ticks']} ticks over "
-              f"{live_stats['servers']} servers in "
-              f"{live_stats['wall_s']:.3f}s "
+              f"{live_stats['servers']} servers "
               f"({live_stats['ticks_per_s']:.0f} ticks/s vectorized vs "
               f"{live_stats['reference_ticks_per_s']:.0f} ticks/s scalar, "
-              f"{live_stats['speedup']}x)")
+              f"{live_stats['speedup']}x); phase "
+              f"{live_stats['phase_wall_s']:.3f}s, platform build "
+              f"{live_stats['platform_build_s']:.3f}s, fault schedule "
+              f"{live_stats['fault_schedule_s']:.3f}s, inputs "
+              f"{live_stats['inputs_s']:.3f}s, tick loop "
+              f"{live_stats['tick_loop_s']:.3f}s")
         if not live_stats["digest_match"]:
             print("live-digest: FAILED, vectorized stepper diverges from "
                   "the scalar reference")

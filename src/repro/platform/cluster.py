@@ -26,7 +26,8 @@ class Platform:
     vms: dict[str, VM] = field(default_factory=dict)
     apps: dict[str, App] = field(default_factory=dict)
     customers: dict[str, Customer] = field(default_factory=dict)
-    # Derived lookup caches, rebuilt whenever the site list changes.
+    # Derived lookup caches.  ``add_site`` keeps the site index current
+    # and drops the other two, which are rebuilt on the next lookup.
     _site_index: dict[str, Site] | None = field(default=None, init=False,
                                                 repr=False, compare=False)
     _server_index: dict[str, Server] | None = field(default=None, init=False,
@@ -37,10 +38,17 @@ class Platform:
     # ---- registration --------------------------------------------------
 
     def add_site(self, site: Site) -> None:
-        if any(s.site_id == site.site_id for s in self.sites):
+        """Append ``site``; the duplicate-id check is one index lookup.
+
+        Raises:
+            TopologyError: if a site with the same id is registered.
+        """
+        if self._site_index is None:
+            self._site_index = {s.site_id: s for s in self.sites}
+        if site.site_id in self._site_index:
             raise TopologyError(f"duplicate site id {site.site_id!r}")
         self.sites.append(site)
-        self._site_index = None
+        self._site_index[site.site_id] = site
         self._server_index = None
         self._site_coords = None
 
@@ -163,19 +171,15 @@ class Platform:
         if cores_per_slot <= 0:
             raise TopologyError(
                 f"cores_per_slot must be positive, got {cores_per_slot}")
-        site_of: list[int] = []
-        slots: list[int] = []
-        server_ids: list[str] = []
-        for index, site in enumerate(self.sites):
-            for server in site.servers:
-                site_of.append(index)
-                slots.append(max(
-                    1, int(server.capacity.cpu_cores) // cores_per_slot))
-                server_ids.append(server.server_id)
-        return (np.asarray(site_of, dtype=np.int64),
-                np.asarray(slots, dtype=np.int64),
+        servers = [server for site in self.sites for server in site.servers]
+        site_of = np.repeat(np.arange(len(self.sites), dtype=np.int64),
+                            [site.server_count for site in self.sites])
+        cores = np.array([server.capacity.cpu_cores for server in servers],
+                         dtype=np.float64).astype(np.int64)
+        return (site_of,
+                np.maximum(cores // cores_per_slot, 1),
                 tuple(s.site_id for s in self.sites),
-                tuple(server_ids))
+                tuple(server.server_id for server in servers))
 
     # ---- platform-wide statistics (§4.1 sales rates) --------------------
 

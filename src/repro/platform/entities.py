@@ -54,6 +54,10 @@ class ResourceVector:
         return cls(0.0, 0.0, 0.0)
 
 
+#: The empty allocation every new :class:`Server` shares.
+_ZERO_ALLOCATION = ResourceVector.zero()
+
+
 @dataclass(frozen=True)
 class VMSpec:
     """The resources a customer subscribes for one VM (§2.1.2 item 2)."""
@@ -123,7 +127,9 @@ class Server:
     site_id: str
     capacity: ResourceVector
     vm_ids: list[str] = field(default_factory=list)
-    allocated: ResourceVector = field(default_factory=ResourceVector.zero)
+    # Shared default: ResourceVector is frozen and attach/detach
+    # reassign ``allocated`` rather than mutate it.
+    allocated: ResourceVector = _ZERO_ALLOCATION
 
     @property
     def free(self) -> ResourceVector:

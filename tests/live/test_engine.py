@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, TopologyError
-from repro.faults.schedule import FaultSchedule, OutageWindow, ServerCrash
+from repro.faults.schedule import (FaultSchedule, OutageWindow, ServerCrash,
+                                   build_fault_schedule)
+from repro.geo.coords import GeoPoint
 from repro.live import (
     LiveInputs,
     build_live_inputs,
@@ -22,10 +24,35 @@ from repro.live import (
     run_live_engine,
     run_reference_engine,
 )
+from repro.live.engine import _largest_remainder
+from repro.live.reference import _allocate
 from repro.obs import RunJournal
+from repro.platform.cloud import build_cloud_platform
+from repro.platform.cluster import Platform
+from repro.platform.entities import PlatformKind, ResourceVector, Server, Site
 from repro.platform.nep import build_nep_platform
 from repro.resilience import chaos_spec, install, reset
 from repro.study import scenario_for
+
+
+def _prefix(inputs: LiveInputs, ticks: int) -> LiveInputs:
+    """The first ``ticks`` ticks of ``inputs``, sliced as the live bench
+    slices its scalar-reference run."""
+    import dataclasses
+
+    return dataclasses.replace(
+        inputs, ticks=ticks, arrivals=inputs.arrivals[:ticks],
+        transitions=tuple(tr for tr in inputs.transitions if tr[0] < ticks))
+
+
+def _fault_inputs(scenario) -> LiveInputs:
+    """Live inputs with the scenario's fault weather lowered in."""
+    platform = build_nep_platform(scenario)
+    faults = build_fault_schedule(
+        scenario, platform,
+        build_cloud_platform(scenario, name="AliCloud",
+                             servers_per_region=4))
+    return build_live_inputs(scenario, platform, faults)
 
 
 @pytest.fixture(scope="module")
@@ -76,12 +103,45 @@ class TestInputs:
         assert factor.max() > 1.0 + scenario.live_diurnal_amplitude
 
     def test_empty_platform_rejected(self, scenario):
-        from repro.platform.cluster import Platform
-        from repro.platform.entities import PlatformKind
-
         empty = Platform(name="none", kind=PlatformKind.EDGE)
         with pytest.raises(ConfigurationError):
             build_live_inputs(scenario, empty)
+
+    def test_empty_middle_site_lowers_like_a_per_site_scan(self,
+                                                           scenario):
+        platform = Platform(name="gap", kind=PlatformKind.EDGE)
+        for site_id, servers in (("a", 2), ("b", 0), ("c", 3)):
+            site = Site(site_id=site_id, name=site_id, city="Beijing",
+                        province="Beijing", location=GeoPoint(39.9, 116.4))
+            site.servers.extend(
+                Server(server_id=f"{site_id}-m{j}", site_id=site_id,
+                       capacity=ResourceVector(32, 128))
+                for j in range(servers))
+            platform.add_site(site)
+        faults = FaultSchedule(
+            profile_name="paper", horizon_minutes=10_000.0,
+            outages=[OutageWindow("a", 1.0, 5.0),
+                     OutageWindow("b", 2.0, 6.0),
+                     OutageWindow("c", 3.0, 9.0)],
+            crashes=[ServerCrash("c-m1", "c", 4.0, 7.0),
+                     ServerCrash("a-m0", "a", 0.0, 2.0)],
+            episodes=[], edge_site_ids=("a", "b", "c"), cloud_site_ids=())
+        inputs = build_live_inputs(scenario, platform, faults)
+
+        # the per-site scan the bincount ranges replace
+        site_of, _, site_ids, server_ids = platform.live_inventory()
+        ranges = {}
+        for index, site_id in enumerate(site_ids):
+            span = np.flatnonzero(site_of == index)
+            if span.size:
+                ranges[site_id] = (int(span[0]), int(span[-1]) + 1)
+        assert ranges == {"a": (0, 2), "c": (2, 5)}
+        expected = faults.tick_transitions(
+            scenario.live_tick_minutes, scenario.live_ticks, ranges,
+            {sid: j for j, sid in enumerate(server_ids)})
+        assert inputs.transitions == tuple(expected)
+        assert (3, 2, 5, 1) in inputs.transitions   # site c, after the gap
+        assert (4, 3, 4, 1) in inputs.transitions   # crash c-m1
 
 
 class TestTwinSteppers:
@@ -110,21 +170,108 @@ class TestTwinSteppers:
 
     def test_matches_with_faults(self):
         scenario = scenario_for("smoke", seed=7, faults="paper")
-        platform = build_nep_platform(scenario)
-        from repro.faults.schedule import build_fault_schedule
-        from repro.platform.cloud import build_cloud_platform
-
-        faults = build_fault_schedule(
-            scenario, platform,
-            build_cloud_platform(scenario, name="AliCloud",
-                                 servers_per_region=4))
-        inputs = build_live_inputs(scenario, platform, faults)
+        inputs = _fault_inputs(scenario)
         assert inputs.transitions  # the profile produced fault weather
         vec = run_live_engine(inputs)
         ref = run_reference_engine(inputs)
         assert vec.digest == ref.digest
         assert vec.fault_ticks == ref.fault_ticks
         assert int(vec.series["down_servers"].sum()) > 0
+
+    def test_matches_at_default_scale_with_harsh_faults(self):
+        """The twins agree on a ~17.5k-server fleet, evacuations included.
+
+        The smoke-scale fault test covers 1886 servers; this one runs
+        the default fleet under the ``harsh`` profile on a 40-tick
+        prefix that contains evacuating fault ticks.
+        """
+        scenario = scenario_for("default", seed=20211102, faults="harsh")
+        inputs = _prefix(_fault_inputs(scenario), 40)
+        vec = run_live_engine(inputs)
+        ref = run_reference_engine(inputs)
+        assert inputs.n_servers > 10_000
+        # the prefix really exercises evacuation and re-placement
+        assert int(np.count_nonzero(vec.series["evacuated"])) >= 2
+        assert vec.digest == ref.digest
+        assert vec.fault_ticks == ref.fault_ticks
+        for name, series in vec.series.items():
+            np.testing.assert_array_equal(series, ref.series[name],
+                                          err_msg=name)
+
+
+def _by_stable_sort(total: int, free: np.ndarray) -> np.ndarray:
+    """The largest-remainder split with a full stable sort (the rule)."""
+    out = np.zeros(free.size, dtype=np.int64)
+    capacity = int(free.sum())
+    placed = min(total, capacity)
+    if placed <= 0:
+        return out
+    scaled = free * placed
+    out = scaled // capacity
+    leftover = placed - int(out.sum())
+    if leftover > 0:
+        remainder = scaled - out * capacity
+        out[np.argsort(-remainder, kind="stable")[:leftover]] += 1
+    return out
+
+
+class TestLargestRemainder:
+    """The O(n) selection picks exactly what a stable sort would."""
+
+    @staticmethod
+    def _check(total: int, free: np.ndarray) -> np.ndarray:
+        got = _largest_remainder(total, free)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, _by_stable_sort(total, free))
+        assert got.tolist() == _allocate(total, free.tolist())
+        return got
+
+    def test_seeded_heavy_ties(self):
+        rng = np.random.default_rng(20211102)
+        for _ in range(400):
+            n = int(rng.integers(1, 60))
+            free = rng.integers(0, 4, size=n).astype(np.int64)
+            capacity = int(free.sum())
+            total = int(rng.integers(0, 2 * capacity + 2))
+            got = self._check(total, free)
+            assert int(got.sum()) == min(total, capacity)
+            assert (got <= free).all()
+
+    def test_leftover_cuts_through_a_tie_group(self):
+        # all remainders tie; three +1s go to the three lowest indices
+        free = np.full(10, 1, dtype=np.int64)
+        got = self._check(3, free)
+        assert got.tolist() == [1, 1, 1, 0, 0, 0, 0, 0, 0, 0]
+
+    def test_cut_inside_the_tie_group_below_a_larger_remainder(self):
+        # remainders 6, 3, 3, 3, 6 (capacity 7): both 6s win outright,
+        # the third +1 goes to the lowest-index 3
+        free = np.array([2, 1, 1, 1, 2], dtype=np.int64)
+        got = self._check(3, free)
+        assert got.tolist() == [1, 1, 0, 0, 1]
+
+    def test_total_at_or_above_capacity_fills_every_slot(self):
+        free = np.array([0, 3, 1, 2, 3, 0], dtype=np.int64)
+        for total in (9, 10, 1000):
+            assert self._check(total, free).tolist() == free.tolist()
+
+    def test_all_zero_free_places_nothing(self):
+        free = np.zeros(7, dtype=np.int64)
+        for total in (0, 1, 50):
+            assert not self._check(total, free).any()
+
+    def test_single_server(self):
+        free = np.array([3], dtype=np.int64)
+        assert self._check(2, free).tolist() == [2]
+        assert self._check(5, free).tolist() == [3]
+        assert self._check(0, free).tolist() == [0]
+
+    def test_negative_weight_keeps_floor_semantics(self):
+        # a server shrunk below its active count has negative free
+        # slots; the split must floor exactly like the scalar twin
+        free = np.array([3, -1, 2, 3, 1], dtype=np.int64)
+        for total in range(0, 10):
+            self._check(total, free)
 
 
 class TestConservation:

@@ -46,6 +46,32 @@ class TestRegistration:
             platform.add_site(Site(site_id="s0", name="dup", city="X",
                                    province="X", location=GeoPoint(0, 0)))
 
+    def test_duplicate_rejected_after_lookup(self, platform):
+        assert platform.site("s1").name == "Shanghai"   # index is built
+        with pytest.raises(TopologyError):
+            platform.add_site(Site(site_id="s1", name="dup", city="X",
+                                   province="X", location=GeoPoint(0, 0)))
+        assert [s.site_id for s in platform.sites] == ["s0", "s1"]
+
+    def test_duplicate_of_constructor_site_rejected(self):
+        site = Site(site_id="s0", name="a", city="X", province="X",
+                    location=GeoPoint(0, 0))
+        platform = Platform(name="t", kind=PlatformKind.EDGE, sites=[site])
+        with pytest.raises(TopologyError):
+            platform.add_site(Site(site_id="s0", name="dup", city="X",
+                                   province="X", location=GeoPoint(0, 0)))
+
+    def test_site_added_after_lookup_is_found(self, platform):
+        platform.site("s0")
+        late = Site(site_id="s2", name="Shenzhen", city="Shenzhen",
+                    province="Guangdong", location=GeoPoint(22.5, 114.1))
+        late.servers.append(Server(server_id="s2-m0", site_id="s2",
+                                   capacity=ResourceVector(32, 128, 4000)))
+        platform.add_site(late)
+        assert platform.site("s2") is late
+        assert platform.server("s2-m0").site_id == "s2"
+        assert platform.nearest_sites(GeoPoint(22.5, 114.1))[0] is late
+
     def test_app_with_unknown_customer_rejected(self, platform):
         with pytest.raises(TopologyError):
             platform.register_app(App("a1", "ghost", "cdn", "img"))

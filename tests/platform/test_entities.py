@@ -86,6 +86,15 @@ class TestServer:
         assert vm.server_id is None
         assert not server.vm_ids
 
+    def test_attach_leaves_other_servers_unallocated(self):
+        # new servers share one frozen zero allocation; attaching to one
+        # must replace its ledger, not change the shared default
+        first, second = _server(server_id="s0"), _server(server_id="s1")
+        first.attach(_vm(cores=8, mem=32, disk=100))
+        assert first.allocated == ResourceVector(8, 32, 100)
+        assert second.allocated == ResourceVector.zero()
+        assert _server(server_id="s2").allocated == ResourceVector.zero()
+
     def test_detach_unknown_vm_rejected(self):
         server = _server()
         with pytest.raises(CapacityError):
