@@ -32,6 +32,11 @@ path.  ``--handoff-bench`` additionally measures the worker-pool result
 transport (shared-memory ring vs pickle) on synthetic series jobs and
 records the comparison in the ledger.
 
+``--prediction-bench`` renders the fig14 report (the §4.4 prediction
+study on both platforms) once and times its layers: Holt-Winters fits,
+LSTM fits, LSTM walk-forward and seasonality strength, next to the
+report's wall time, in the run stanza's ``prediction`` section.
+
 ``--sweep-bench CONFIG`` times the sweep orchestrator against a serial
 per-cell baseline: every cell of the grid re-run alone with its own
 fresh cache (no sharing) versus one :func:`repro.sweep.run_sweep` over
@@ -44,6 +49,8 @@ below ``X``x).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import os
 import platform as platform_mod
@@ -52,6 +59,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -62,7 +70,8 @@ PHASES = ("workload_nep", "workload_azure", "campaign_latency",
 #: Optional per-scale ledger sections measured by dedicated flags.  A
 #: run that does not re-measure one keeps the previously committed
 #: value instead of silently dropping it from the ledger.
-OPTIONAL_SECTIONS = ("handoff", "sweep", "cache", "qoe_sessions", "live")
+OPTIONAL_SECTIONS = ("handoff", "sweep", "cache", "qoe_sessions", "live",
+                     "prediction")
 
 
 def effective_seed(seed: int | None) -> int:
@@ -412,6 +421,56 @@ print(json.dumps({"wall_s": total}))
 """
 
 
+def bench_prediction(scale: str, seed: int | None,
+                     overrides: dict[str, int] | None = None
+                     ) -> dict[str, object]:
+    """Time the fig14 report and the prediction layers inside it.
+
+    The study's NEP and Azure datasets are built first, outside the
+    timing; the report is then rendered once with the model entry points
+    (``HoltWinters.fit``, ``LSTMForecaster.fit``,
+    ``LSTMForecaster.walk_forward``) and the seasonality-strength call
+    wrapped in timers, which are removed again afterwards.
+    """
+    from repro import reports
+    from repro.core import prediction_analysis
+    from repro.prediction.holtwinters import HoltWinters
+    from repro.prediction.lstm import LSTMForecaster
+    from repro.study import EdgeStudy
+
+    study = EdgeStudy(build_scenario(scale, seed, overrides))
+    study.nep
+    study.azure
+    layers = {
+        "hw_fit": (HoltWinters, "fit"),
+        "lstm_fit": (LSTMForecaster, "fit"),
+        "lstm_walk_forward": (LSTMForecaster, "walk_forward"),
+        "seasonality": (prediction_analysis, "seasonality_strength"),
+    }
+    totals = dict.fromkeys(layers, 0.0)
+
+    def timed(name: str, original):
+        @functools.wraps(original)
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return original(*args, **kwargs)
+            finally:
+                totals[name] += time.perf_counter() - start
+        return wrapper
+
+    with contextlib.ExitStack() as patches:
+        for name, (owner, attr) in layers.items():
+            patches.enter_context(mock.patch.object(
+                owner, attr, timed(name, getattr(owner, attr))))
+        start = time.perf_counter()
+        reports.fig14(study)
+        report_wall = time.perf_counter() - start
+    row = {f"{name}_s": round(total, 6) for name, total in totals.items()}
+    row["report_wall_s"] = round(report_wall, 6)
+    return row
+
+
 def _sweep_bench_child(config: Path, workdir: Path, jobs: int,
                        mode: str) -> float:
     """One isolated sweep-bench measurement; returns its wall seconds."""
@@ -626,6 +685,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="with --live-bench: exit non-zero unless the "
                              "vectorized stepper beats the scalar "
                              "reference by this factor")
+    parser.add_argument("--prediction-bench", action="store_true",
+                        help="also time the fig14 report's prediction "
+                             "layers (HW fit, LSTM fit and walk-forward, "
+                             "seasonality)")
     parser.add_argument("--cache-dir", type=Path, default=None,
                         help="also measure a cold + warm artifact-cache "
                              "cycle rooted here")
@@ -665,6 +728,17 @@ def main(argv: list[str] | None = None) -> int:
         overrides["azure_vm_count"] = args.vms
     if args.sites is not None:
         overrides["nep_site_count"] = args.sites
+    if args.prediction_bench:
+        from repro.prediction.evaluate import ExperimentSpec
+
+        spec = ExperimentSpec(cpu_interval_minutes=1)
+        need = spec.train_days + spec.test_days
+        days = build_scenario(args.scale, args.seed,
+                              overrides or None).trace_days
+        if days < need:
+            parser.error(f"--prediction-bench needs a trace of at least "
+                         f"{need} days (fig14's train/test split); "
+                         f"--scale {args.scale} has {days}")
 
     fresh = bench(args.scale, args.seed, args.repeat, args.jobs,
                   overrides=overrides or None, streaming=args.streaming)
@@ -765,6 +839,16 @@ def main(argv: list[str] | None = None) -> int:
                   f"{live_peak:.1f} MB over "
                   f"{args.assert_peak_rss_mb:.1f} MB")
             return 1
+
+    if args.prediction_bench:
+        prediction = bench_prediction(args.scale, args.seed,
+                                      overrides=overrides or None)
+        fresh["prediction"] = prediction
+        print(f"  prediction: fig14 {prediction['report_wall_s']:.3f}s "
+              f"(hw fit {prediction['hw_fit_s']:.3f}s, lstm fit "
+              f"{prediction['lstm_fit_s']:.3f}s, lstm walk-forward "
+              f"{prediction['lstm_walk_forward_s']:.3f}s, seasonality "
+              f"{prediction['seasonality_s']:.3f}s)")
 
     if args.sweep_bench is not None:
         sweep_stats = bench_sweep(args.sweep_bench, args.jobs)

@@ -5,6 +5,16 @@ input, the gate weights count 4 x (24 x (1 + 24) + 24) = 2496.  A linear
 read-out maps the final hidden state to the scalar forecast.  Training is
 full-batch BPTT with Adam on mean squared error; everything is vectorised
 over the batch so per-VM training stays in the hundreds of milliseconds.
+
+Training, :meth:`LSTMForecaster.predict_next` and
+:meth:`LSTMForecaster.walk_forward` share one recurrence, which runs along
+the last axis of its input.  Walk-forward gathers every test window at
+once and runs them as an ``(n, 1, T)`` stack, not as one ``(n, T)``
+batch: numpy then multiplies each row as the same ``(1, 1+H)`` product
+``predict_next`` computes, whereas one ``(n, 1+H)`` gemm accumulates in a
+different order and drifts from it by a few ulps (up to 6.7e-16 on
+336-window tests).  The stacked forecasts equal a ``predict_next`` loop bit
+for bit, at one recurrence instead of n.
 """
 
 from __future__ import annotations
@@ -90,29 +100,38 @@ class LSTMForecaster:
 
     # ---- forward / backward -------------------------------------------------
 
-    def _forward(self, batch: np.ndarray):
-        """Run the LSTM over a (B, T) batch; returns output and caches."""
-        B, T = batch.shape
+    def _forward(self, batch: np.ndarray, caches: list | None = None):
+        """Run the LSTM over a batch of sequences along the last axis.
+
+        ``batch`` is ``(..., T)``.  Training passes a ``(B, T)`` batch, so
+        each step's gate product is one ``(B, 1+H) @ (1+H, 4H)`` gemm;
+        :meth:`predict_next` passes ``(1, T)`` and :meth:`walk_forward`
+        an ``(n, 1, T)`` stack, whose rows each get the same
+        ``(1, 1+H)`` product.  Returns the ``(...)`` output and the final
+        hidden state; when ``caches`` is given (training), each step's
+        activations are appended to it for :meth:`_backward`.
+        """
+        T = batch.shape[-1]
         h_units = self.hidden
         W, b = self.params["W"], self.params["b"]
-        h = np.zeros((B, h_units))
-        c = np.zeros((B, h_units))
-        caches = []
+        h = np.zeros(batch.shape[:-1] + (h_units,))
+        c = np.zeros(batch.shape[:-1] + (h_units,))
         for t in range(T):
-            x = batch[:, t:t + 1]
-            z = np.concatenate([x, h], axis=1)
+            x = batch[..., t:t + 1]
+            z = np.concatenate([x, h], axis=-1)
             gates = z @ W + b
-            i = _sigmoid(gates[:, :h_units])
-            f = _sigmoid(gates[:, h_units:2 * h_units])
-            g = np.tanh(gates[:, 2 * h_units:3 * h_units])
-            o = _sigmoid(gates[:, 3 * h_units:])
+            i = _sigmoid(gates[..., :h_units])
+            f = _sigmoid(gates[..., h_units:2 * h_units])
+            g = np.tanh(gates[..., 2 * h_units:3 * h_units])
+            o = _sigmoid(gates[..., 3 * h_units:])
             c = f * c + i * g
             tanh_c = np.tanh(c)
             new_h = o * tanh_c
-            caches.append((z, i, f, g, o, c.copy(), tanh_c, h))
+            if caches is not None:
+                caches.append((z, i, f, g, o, c.copy(), tanh_c, h))
             h = new_h
         y = h @ self.params["Wy"] + self.params["by"]
-        return y[:, 0], h, caches
+        return y[..., 0], h
 
     def _backward(self, batch: np.ndarray, y_pred: np.ndarray,
                   y_true: np.ndarray, final_h: np.ndarray,
@@ -174,7 +193,8 @@ class LSTMForecaster:
         normalised = (series - self._mean) / self._scale
         windows, targets = self._make_windows(normalised)
         for _ in range(self.epochs):
-            y_pred, final_h, caches = self._forward(windows)
+            caches: list = []
+            y_pred, final_h = self._forward(windows, caches)
             grads = self._backward(windows, y_pred, targets, final_h, caches)
             self._adam_step(grads)
         return self
@@ -188,15 +208,35 @@ class LSTMForecaster:
                 f"{self.window}"
             )
         window = (history[-self.window:] - self._mean) / self._scale
-        y_pred, _, _ = self._forward(window[None, :])
+        y_pred, _ = self._forward(window[None, :])
         return float(y_pred[0] * self._scale + self._mean)
 
     def walk_forward(self, train: np.ndarray, test: np.ndarray) -> np.ndarray:
-        """One-step-ahead forecasts across ``test`` given ``train`` history."""
-        history = np.concatenate([np.asarray(train, dtype=float),
-                                  np.asarray(test, dtype=float)])
-        start = np.asarray(train, dtype=float).size
-        preds = np.empty(np.asarray(test).size)
-        for i in range(preds.size):
-            preds[i] = self.predict_next(history[:start + i])
-        return preds
+        """One-step-ahead forecasts across ``test`` given ``train`` history.
+
+        Forecast ``i`` sees ``train`` plus the first ``i`` test values, as
+        :meth:`predict_next` would.  All test windows run through one
+        recurrence as an ``(n, 1, T)`` stack (see the module docstring for
+        why not an ``(n, T)`` batch), so the forecasts equal a
+        ``predict_next`` loop bit for bit.
+
+        Raises:
+            PredictionError: if ``train`` is shorter than the window and
+                ``test`` is not empty.
+        """
+        train = np.asarray(train, dtype=float)
+        test = np.asarray(test, dtype=float)
+        if test.size == 0:
+            return np.empty(0)
+        start = train.size
+        if start < self.window:
+            raise PredictionError(
+                f"history of {start} points shorter than window "
+                f"{self.window}"
+            )
+        history = np.concatenate([train, test])
+        idx = (start - self.window + np.arange(test.size)[:, None]
+               + np.arange(self.window)[None, :])
+        windows = (history[idx] - self._mean) / self._scale
+        y_pred, _ = self._forward(windows[:, None, :])
+        return y_pred[:, 0] * self._scale + self._mean

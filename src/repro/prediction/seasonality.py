@@ -47,12 +47,13 @@ def decompose(series: np.ndarray, period: int
         )
     trend = _centered_moving_average(series, period)
     detrended = series - trend
-    phases = np.arange(series.size) % period
+    # The strided slice picks phase p's points in order, as a boolean
+    # mask would, in O(n) for all phases instead of O(period x n).
     seasonal_means = np.array([
-        detrended[phases == p].mean() for p in range(period)
+        detrended[p::period].mean() for p in range(period)
     ])
     seasonal_means -= seasonal_means.mean()
-    seasonal = seasonal_means[phases]
+    seasonal = seasonal_means[np.arange(series.size) % period]
     remainder = detrended - seasonal
     return trend, seasonal, remainder
 

@@ -1,5 +1,7 @@
 """Tests for the §4.4 prediction comparison driver (reduced scale)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,22 @@ class TestStudy:
         with pytest.raises(PredictionError):
             run_prediction_study(nep_dataset, vm_sample=2,
                                  rng=np.random.default_rng(0), spec=spec)
+
+
+class TestPinnedOutcomes:
+    #: sha256 over the smoke study's outcomes and seasonality values,
+    #: recorded from the scalar walk-forward and grid-search code.
+    DIGEST = ("7634a134866f6d4a9ec16b3d0b1b609b"
+              "fbc9bd6db519930e829e64b0bcbac9a0")
+
+    def test_outcome_digest_pinned(self, nep_study):
+        digest = hashlib.sha256()
+        for o in nep_study.outcomes:
+            digest.update(repr((o.vm_id, o.model, o.target,
+                                o.rmse_percent)).encode())
+        for value in nep_study.seasonality:
+            digest.update(repr(value).encode())
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestSeasonalArLeg:

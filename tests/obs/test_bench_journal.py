@@ -52,3 +52,44 @@ class TestBenchCache:
             assert warm[phase]["cached"] is True
             assert warm[phase]["wall_s"] is not None
         assert all(stats["warm_hits"].values())
+
+
+class TestBenchPrediction:
+    def test_times_layers_and_restores_models(self, bench_mod, monkeypatch):
+        import numpy as np
+
+        from repro import reports
+        from repro.core import prediction_analysis
+        from repro.prediction.holtwinters import HoltWinters
+        from repro.prediction.lstm import LSTMForecaster
+
+        def tiny_fig14(study):
+            # A small stand-in for the report: one call per timed layer,
+            # made through the same module attributes fig14 uses.
+            series = 0.5 + 0.2 * np.sin(np.arange(192) * np.pi / 12)
+            HoltWinters(season_length=24).fit(series)
+            model = LSTMForecaster(window=12, epochs=1).fit(series[:96])
+            model.walk_forward(series[:96], series[96:])
+            prediction_analysis.seasonality_strength(series, 24)
+            return ""
+
+        monkeypatch.setattr(reports, "fig14", tiny_fig14)
+        before = (HoltWinters.fit, LSTMForecaster.fit,
+                  LSTMForecaster.walk_forward,
+                  prediction_analysis.seasonality_strength)
+        row = bench_mod.bench_prediction("smoke", None)
+        assert set(row) == {"hw_fit_s", "lstm_fit_s",
+                            "lstm_walk_forward_s", "seasonality_s",
+                            "report_wall_s"}
+        assert all(row[key] > 0 for key in row)
+        layers = sum(v for k, v in row.items() if k != "report_wall_s")
+        assert layers <= row["report_wall_s"]
+        assert (HoltWinters.fit, LSTMForecaster.fit,
+                LSTMForecaster.walk_forward,
+                prediction_analysis.seasonality_strength) == before
+
+    def test_short_trace_refused(self, bench_mod, capsys):
+        # Fig14 splits 21+7 days; the smoke trace has 7.
+        with pytest.raises(SystemExit):
+            bench_mod.main(["--scale", "smoke", "--prediction-bench"])
+        assert "at least 28 days" in capsys.readouterr().err

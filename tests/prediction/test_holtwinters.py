@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repro.errors import PredictionError
-from repro.prediction.holtwinters import HoltWinters
+from repro.prediction.holtwinters import (
+    FALLBACK,
+    GRID_ALPHA,
+    GRID_BETA,
+    GRID_GAMMA,
+    HoltWinters,
+)
 
 
 def _seasonal_series(days=14, period=48, noise=0.01, seed=0):
@@ -77,3 +83,63 @@ class TestForecasting:
         before = model._state.index
         model.update(0.5)
         assert model._state.index == before + 1
+
+
+def _scalar_search(model, series, alphas, betas, gammas):
+    """The grid-search oracle: nested loops of scalar ``_run`` passes."""
+    best = (float("inf"), 0.3, 0.05, 0.2)
+    for a in alphas:
+        for b in betas:
+            for g in gammas:
+                sse, _ = model._run(series, a, b, g)
+                if sse < best[0]:
+                    best = (sse, a, b, g)
+    return best[1:]
+
+
+class TestVectorisedGrid:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_sse_equals_scalar_run(self, seed):
+        series = _seasonal_series(noise=0.05, seed=seed)
+        model = HoltWinters(season_length=48)
+        alpha, beta, gamma = model._grid()
+        assert alpha.size == len(GRID_ALPHA) * len(GRID_BETA) * len(GRID_GAMMA)
+        sse = model._grid_sse(series, alpha, beta, gamma)
+        expected = [model._run(series, a, b, g)[0]
+                    for a, b, g in zip(alpha, beta, gamma)]
+        assert np.array_equal(sse, expected)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_choice_equals_scalar_search(self, seed):
+        series = _seasonal_series(noise=0.1, seed=seed)
+        model = HoltWinters(season_length=48).fit(series)
+        assert (model.alpha, model.beta, model.gamma) == _scalar_search(
+            model, series, GRID_ALPHA, GRID_BETA, GRID_GAMMA)
+
+    def test_ties_pick_first_combo_in_loop_order(self):
+        # An all-zero series fits every combo with exactly zero error.
+        series = np.zeros(480)
+        model = HoltWinters(season_length=48)
+        sse = model._grid_sse(series, *model._grid())
+        assert np.all(sse == 0.0)
+        model.fit(series)
+        assert (model.alpha, model.beta, model.gamma) == (
+            GRID_ALPHA[0], GRID_BETA[0], GRID_GAMMA[0])
+
+    def test_all_nan_series_falls_back(self):
+        model = HoltWinters(season_length=48)
+        assert model._grid_search(np.full(480, np.nan)) == FALLBACK == (
+            0.3, 0.05, 0.2)
+
+    def test_partial_constants_kept_and_rest_searched(self):
+        series = _seasonal_series(noise=0.05, seed=4)
+        model = HoltWinters(season_length=48, alpha=0.5).fit(series)
+        assert model.alpha == 0.5
+        assert (model.beta, model.gamma) == _scalar_search(
+            model, series, (0.5,), GRID_BETA, GRID_GAMMA)[1:]
+
+    def test_partial_constants_use_single_point_axes(self):
+        model = HoltWinters(season_length=48, beta=0.07, gamma=0.3)
+        alpha, beta, gamma = model._grid()
+        assert list(alpha) == list(GRID_ALPHA)
+        assert set(beta) == {0.07} and set(gamma) == {0.3}

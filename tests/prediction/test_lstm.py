@@ -77,3 +77,51 @@ class TestPrediction:
         model = LSTMForecaster(window=12, epochs=3).fit(series[:250])
         preds = model.walk_forward(series[:250], series[250:])
         assert preds.shape == (50,)
+
+
+def _predict_next_loop(model, train, test):
+    """The walk-forward oracle: one ``predict_next`` call per test step."""
+    history = np.concatenate([train, test])
+    return np.array([model.predict_next(history[:train.size + i])
+                     for i in range(test.size)])
+
+
+class TestBatchedWalkForward:
+    @pytest.mark.parametrize("window", [12, 24])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_predict_next_loop(self, window, seed):
+        series = _sine(points=480, seed=seed, noise=0.05)
+        train, test = series[:400], series[400:]
+        model = LSTMForecaster(window=window, epochs=3, seed=seed).fit(train)
+        assert np.array_equal(model.walk_forward(train, test),
+                              _predict_next_loop(model, train, test))
+
+    def test_constant_series_equals_loop(self):
+        # std = 0 takes the scale = 1 normalisation path (0.5 is exact
+        # in binary, so the mean is too and the std is exactly 0).
+        series = np.full(200, 0.5)
+        model = LSTMForecaster(window=12, epochs=3).fit(series[:150])
+        assert model._scale == 1.0
+        assert np.array_equal(
+            model.walk_forward(series[:150], series[150:]),
+            _predict_next_loop(model, series[:150], series[150:]))
+
+    def test_single_step_test_equals_loop(self):
+        series = _sine(points=200)
+        model = LSTMForecaster(window=12, epochs=3).fit(series[:199])
+        preds = model.walk_forward(series[:199], series[199:])
+        assert preds.shape == (1,)
+        assert preds[0] == model.predict_next(series[:199])
+
+    def test_empty_test(self):
+        series = _sine(points=200)
+        model = LSTMForecaster(window=12, epochs=2).fit(series)
+        assert model.walk_forward(series, np.empty(0)).shape == (0,)
+
+    def test_short_train_rejected_like_predict_next(self):
+        model = LSTMForecaster(window=24, epochs=2).fit(_sine(points=200))
+        with pytest.raises(PredictionError) as batched:
+            model.walk_forward(np.zeros(10), np.zeros(5))
+        with pytest.raises(PredictionError) as scalar:
+            model.predict_next(np.zeros(10))
+        assert str(batched.value) == str(scalar.value)

@@ -68,3 +68,26 @@ class TestStrength:
             ])
 
         assert mean_strength(nep_dataset) > mean_strength(azure_dataset)
+
+
+def _masked_phase_means(detrended, period):
+    """The per-phase boolean-mask form the strided slice replaces."""
+    phases = np.arange(detrended.size) % period
+    return np.array([detrended[phases == p].mean() for p in range(period)])
+
+
+class TestStridedPhaseMeans:
+    @pytest.mark.parametrize("size,period", [
+        (14 * 48, 48),       # whole periods
+        (14 * 48 + 17, 48),  # a partial trailing period
+        (5 * 288 + 1, 288),
+        (1001, 7),
+    ])
+    def test_equals_boolean_mask_form(self, size, period):
+        series = np.random.default_rng(size).random(size)
+        trend, seasonal, remainder = decompose(series, period)
+        means = _masked_phase_means(series - trend, period)
+        means -= means.mean()
+        expected = means[np.arange(size) % period]
+        assert np.array_equal(seasonal, expected)
+        assert np.array_equal(remainder, series - trend - expected)
