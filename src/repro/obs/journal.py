@@ -56,17 +56,16 @@ VOLATILE_FIELDS = frozenset({
 })
 
 #: Event *types* that exist only because of execution knobs — shard
-#: spills (``--streaming``), shared-memory handoff telemetry
-#: (``--jobs``/transport choice), and per-tick live-engine telemetry
-#: (``live_tick``, one per simulated tick) — or because of *recovery*:
-#: retries,
-#: worker restarts, quarantines, and resume headers exist only when a
+#: spills (``--streaming``), per-chunk QoE session telemetry, and
+#: per-tick live-engine telemetry (``live_tick``, one per simulated
+#: tick) — or because of *recovery*: retries, worker restarts,
+#: quarantines, and resume headers exist only when a
 #: failpoint fired or the host misbehaved.  Recovery changes when work
 #: happens, never what it produces, so the canonical view drops the
 #: whole event rather than individual fields; that is what makes a
 #: ``--chaos`` run canonicalize bit-identical to a clean one.
 VOLATILE_EVENT_TYPES = frozenset({
-    "chunk_spill", "shm_handoff", "session_chunk",
+    "chunk_spill", "session_chunk",
     "live_tick", "live_retry",
     "job_retry", "worker_restart", "job_quarantined",
     "cache_retry", "cache_write_error", "io_retry",

@@ -1,117 +1,90 @@
-"""Process-pool execution of per-app workload series jobs.
+"""One supervised worker pool behind two fronts: series blocks and tasks.
 
 At paper scale (20k VMs, 92 days at 1-minute resolution) the study
 spends most of its wall time rendering CPU/bandwidth series.  Placement
-is inherently sequential (it consumes shared RNG streams and mutates the
-platform), but every app's series block draws from its own named
-substream — see :mod:`repro.workload.series` — so the blocks are
-mutually independent.  :func:`run_series_jobs` fans them out over a
-``multiprocessing`` pool and yields rendered blocks **in submission
-order**, so the parent inserts results deterministically regardless of
-worker count or completion order.
+is sequential, but every app's series block draws from its own named
+substream (:mod:`repro.workload.series`), so the blocks are mutually
+independent, as are sweep cells and QoE session chunks.  All three run
+on one private executor, :class:`_Pool`, through two thin fronts:
 
-Each worker is told only (seed, recipe, scenario time knobs) once at
-pool start; a dispatched job ships an app id, a profile, and a VM count.
-The worker recreates the app's RNG substream locally, renders the block
-(its ``SERIES_CHUNK_VMS`` chunks in order), and hands the float32 rows
-back.  Worker-side spans are recorded into a private
-:class:`~repro.perf.PerfRegistry` that the parent merges, so no timing
-is lost to process boundaries (merged ``cpu_s`` sums across processes
-and can legitimately exceed the parent's wall time).
+* :func:`run_series_jobs` yields rendered blocks **in submission
+  order** through a bounded window, so the parent inserts results
+  deterministically regardless of worker count or completion order;
+* :class:`TaskFarm` delivers outcomes in **completion order** (a sweep
+  scheduler unlocks dependent cells the moment a leader finishes), and
+  :meth:`TaskFarm.in_order` gives the QoE fold the same ordered
+  delivery as the series front.
 
-Shared-memory handoff
----------------------
+Pool
+----
 
-By default the rows travel through a ring of
-:mod:`multiprocessing.shared_memory` slot buffers instead of being
-pickled over the result pipe: a worker copies its finished block into a
-free slot and returns a tiny :class:`_ShmBlockRef` descriptor; the
-parent copies the rows back out and recycles the slot.  The ring holds
-``workers + 2`` slots and task submission is windowed to the slot
-count, which guarantees the head-of-line job can always obtain a slot
-(no deadlock) while out-of-order completions are bounded.  A block too
-large for a slot transparently falls back to pickling.  Set
-``handoff="pickle"`` (or ``REPRO_NO_SHM=1``) to force the legacy
-transport — ``scripts/bench_study.py --handoff-bench`` measures the
-difference and records it in ``BENCH_study.json``.
+Workers are persistent, non-daemonic forked processes, so a task may
+start its own pool (a sweep cell renders its workload in parallel).  A
+task is a ``(fn, arg)`` pair sent to an idle worker; a series task ships
+the seed, recipe, time knobs and one :class:`SeriesJob`, and the worker
+memoises the time axes and season curves.  Worker-side spans go into a
+private :class:`~repro.perf.PerfRegistry` that the parent merges
+(merged ``cpu_s`` sums across processes and may exceed wall time).
 
-``--jobs 1`` (the default) renders in-process through the *same*
-per-app function, which is what makes serial and parallel output
-bit-identical by construction.  Worker pools require the ``fork`` start
-method (the cheap, no-reimport path); where it is unavailable the
-executor falls back to serial rendering with a journal warning, and a
-pool that fails to *start* raises :class:`~repro.errors.ParallelError`
-instead of a cryptic pickling failure.
+``n_jobs == 1``, a single task, or a platform without the ``fork``
+start method (journal warning) runs tasks inline through the *same*
+scheduler and the same task functions, which is what makes serial and
+parallel output bit-identical by construction.  A pool that fails to
+*start* raises :class:`~repro.errors.ParallelError`.
+
+Transport
+---------
+
+Each worker owns a task pipe and a result pipe.  A message is pickled
+with protocol 5, numpy buffers out of band: a small frame carries the
+pickle and the buffer sizes, and the reader ``os.readv``\\ s the raw
+buffers that follow straight into ``np.empty`` arrays, the final rows.
+The parent waits on every result pipe and process sentinel at once
+(:func:`multiprocessing.connection.wait`): a death is seen at once, and
+no shared pipe exists for a killed worker to tear.
 
 Supervision
 -----------
 
-The pool is *supervised* (see :mod:`repro.resilience`): workers are
-plain forked processes the parent watches rather than a fire-and-forget
-``multiprocessing.Pool``.  Every worker carries a heartbeat thread
-stamping a shared clock slot; the parent's watchdog detects (a) workers
-that exited without reporting (OOM kill, SIGKILL, crash), (b) jobs
-whose wall-clock exceeds the per-job timeout, and (c) wedged workers
-whose heartbeat goes stale — and in all three cases kills the worker,
-respawns a fresh one, and reschedules the job with seeded exponential
-backoff.  Transient job *errors* (an :class:`~repro.errors.InjectedFault`
-from a chaos failpoint, an OSError from flaky storage) are retried the
-same way; a job that keeps failing past its attempt budget raises
-:class:`~repro.errors.QuarantineError` with full context — the study
-fails loudly instead of hanging or silently dropping an app's series.
-Because rendering is a pure function of (seed, recipe, job), a retried
-job reproduces the exact bytes of a first-try success, so supervision
-changes timings, never results; the retry/restart journal events are
-volatile (:data:`repro.obs.VOLATILE_EVENT_TYPES`) and chaos runs
-canonicalise bit-identical to clean runs.
-
-A SIGKILLed worker can in principle die mid-write on the shared result
-pipe; the parent treats undecodable queue reads as transient and relies
-on the watchdog, and injected kills (``pool.kill_worker``) are fired at
-dispatch time — before the victim starts writing — so chaos runs do not
-exercise that race.
-
-Task farm
----------
-
-:class:`TaskFarm` is the second, coarser executor: whole units of work
-(one sweep cell = one full :class:`~repro.study.EdgeStudy`) in
-*non-daemonic* forked processes.  ``multiprocessing.Pool`` workers are
-daemonic and may not have children, which would forbid a cell from
-starting its own series pool; farm workers are plain forked processes,
-so nesting works.  A worker that dies without reporting (OOM kill,
-SIGKILL) surfaces as a failed :class:`TaskOutcome` instead of hanging
-the parent.
+One watchdog, one retry scheduler and one transient-error rule
+(:data:`~repro.resilience.DEFAULT_TRANSIENT`) serve both fronts.  Every
+worker's heartbeat thread stamps a shared clock slot; the watchdog
+detects workers that exited (OOM kill, SIGKILL, crash), jobs past the
+per-job timeout, and wedged workers whose heartbeat went stale.  It
+kills the worker, forks a fresh one on the next dispatch, and retries
+the job with seeded exponential backoff.  A transient error (an
+:class:`~repro.errors.InjectedFault`, an ``OSError``) is retried the
+same way; any other exception fails its task on the first attempt.  A
+backoff is a ready time the wait loop honours, never a sleep while a
+worker could report.  A task past its attempt budget is quarantined
+(:class:`~repro.errors.QuarantineError`).  Every task is a pure function
+of its argument, so supervision changes timings, never results, and the
+volatile retry/restart events (:data:`repro.obs.VOLATILE_EVENT_TYPES`)
+let chaos runs canonicalise bit-identical to clean runs.  The
+``pool.kill_worker`` chaos site SIGKILLs the worker just handed a task.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import queue as queue_mod
+import pickle
+import select
+import struct
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass
+from multiprocessing import util
+from multiprocessing.connection import wait as wait_ready
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-try:
-    from multiprocessing import shared_memory
-except ImportError:  # pragma: no cover - non-POSIX minimal builds
-    shared_memory = None
-
 from .config import Scenario
-from .errors import (
-    ConfigurationError,
-    InjectedFault,
-    ParallelError,
-    QuarantineError,
-)
+from .errors import ConfigurationError, ParallelError, QuarantineError
 from .perf import PerfRegistry
-from .resilience import RetryPolicy, SupervisionConfig, failpoint, fire
-from .resilience.retry import call_with_retry
+from .resilience import DEFAULT_TRANSIENT, SupervisionConfig, fire
 from .workload.patterns import time_axis_minutes
 from .workload.series import (
     SeasonCache,
@@ -121,17 +94,6 @@ from .workload.series import (
     job_rng,
     render_series_job,
 )
-
-#: Hard cap on one shared-memory slot; blocks larger than the resolved
-#: slot size fall back to pickle transport.  Override (in MiB) with
-#: ``REPRO_SHM_SLOT_MB``.
-SHM_SLOT_CAP_BYTES = 128 << 20
-
-#: Environment kill-switch: any non-empty value forces pickle handoff.
-SHM_DISABLE_ENV = "REPRO_NO_SHM"
-
-#: Accepted ``handoff`` transports for pooled rendering.
-HANDOFF_MODES = ("shm", "pickle")
 
 
 def resolve_jobs(jobs: int | None) -> int:
@@ -148,143 +110,12 @@ def resolve_jobs(jobs: int | None) -> int:
     return int(jobs)
 
 
-@dataclass(frozen=True)
-class _WorkerSetup:
-    """Everything a worker process needs besides the jobs themselves."""
-
-    seed: int
-    recipe: SeriesRecipe
-    trace_days: int
-    cpu_interval_minutes: int
-    bw_interval_minutes: int
-
-
-@dataclass(frozen=True)
-class _ShmBlockRef:
-    """A rendered block parked in a shared-memory slot.
-
-    Crosses the result pipe instead of the row payload: the parent
-    rebuilds the :class:`SeriesBlock` from the slot and recycles it.
-    """
-
-    slot: int
-    app_id: str
-    vm_count: int
-    cpu_points: int
-    bw_points: int
-    private: bool
-    mean_bws: np.ndarray
-    perf: PerfRegistry | None
-
-
-#: Per-worker-process state installed by :func:`_init_worker`.
-_WORKER: dict | None = None
-
-
-def _init_worker(setup: _WorkerSetup, shm_names=None, free_slots=None,
-                 slot_bytes: int = 0) -> None:
-    """Pool initializer: precompute the time axes and season cache once."""
-    global _WORKER
-    _WORKER = {
-        "setup": setup,
-        "cpu_minutes": time_axis_minutes(setup.trace_days,
-                                         setup.cpu_interval_minutes),
-        "bw_minutes": time_axis_minutes(setup.trace_days,
-                                        setup.bw_interval_minutes),
-        "seasons": SeasonCache(),
-    }
-    if shm_names is not None:
-        _WORKER["shm"] = {
-            "names": shm_names,
-            "free": free_slots,
-            "slot_bytes": slot_bytes,
-            "segments": {},
-        }
-
-
-def _worker_segment(shm_cfg: dict, slot: int):
-    """Attach (and memoise) one ring segment inside a worker."""
-    segment = shm_cfg["segments"].get(slot)
-    if segment is None:
-        segment = shared_memory.SharedMemory(name=shm_cfg["names"][slot])
-        shm_cfg["segments"][slot] = segment
-    return segment
-
-
-def _render_in_worker(job: SeriesJob) -> SeriesBlock | _ShmBlockRef:
-    """Render one job inside a worker, with a private perf registry.
-
-    With a shared-memory ring configured, the finished rows are copied
-    into a free slot and only a :class:`_ShmBlockRef` travels back;
-    oversized blocks return whole (pickle fallback).
-    """
-    state = _WORKER
-    if state is None:  # pragma: no cover - pool misconfiguration guard
-        raise RuntimeError("series worker used before initialisation")
-    setup: _WorkerSetup = state["setup"]
-    perf = PerfRegistry()
-    rng = job_rng(setup.seed, setup.recipe, job.app_id)
-    block = render_series_job(job, setup.recipe, state["cpu_minutes"],
-                              state["bw_minutes"], rng,
-                              seasons=state["seasons"], perf=perf)
-    block.perf = perf
-    shm_cfg = state.get("shm")
-    if shm_cfg is None:
-        return block
-    parts = [block.cpu_rows, block.bw_rows]
-    if block.private_rows is not None:
-        parts.append(block.private_rows)
-    if sum(part.nbytes for part in parts) > shm_cfg["slot_bytes"]:
-        return block
-    failpoint("shm.acquire", job.app_id)
-    slot = shm_cfg["free"].get()
-    intent = state.get("slot_intent")
-    if intent is not None:
-        # Publish which slot this worker holds *before* using it, so the
-        # supervisor can account the slot as leaked if we die mid-job.
-        intent[state["worker_index"]] = slot
-    view = np.frombuffer(_worker_segment(shm_cfg, slot).buf,
-                         dtype=np.float32)
-    offset = 0
-    for part in parts:
-        view[offset:offset + part.size] = part.ravel()
-        offset += part.size
-    return _ShmBlockRef(
-        slot=slot, app_id=block.app_id, vm_count=job.vm_count,
-        cpu_points=block.cpu_rows.shape[1],
-        bw_points=block.bw_rows.shape[1],
-        private=block.private_rows is not None,
-        mean_bws=block.mean_bws, perf=perf,
-    )
-
-
-def _block_from_ref(ref: _ShmBlockRef, segments) -> SeriesBlock:
-    """Rebuild a block from its shared-memory slot (copies the rows)."""
-    view = np.frombuffer(segments[ref.slot].buf, dtype=np.float32)
-    offset = 0
-
-    def take(points: int) -> np.ndarray:
-        nonlocal offset
-        size = ref.vm_count * points
-        rows = view[offset:offset + size].reshape(ref.vm_count,
-                                                  points).copy()
-        offset += size
-        return rows
-
-    cpu_rows = take(ref.cpu_points)
-    bw_rows = take(ref.bw_points)
-    private_rows = take(ref.bw_points) if ref.private else None
-    return SeriesBlock(app_id=ref.app_id, mean_bws=ref.mean_bws,
-                       cpu_rows=cpu_rows, bw_rows=bw_rows,
-                       private_rows=private_rows, perf=ref.perf)
-
-
 def _pool_context() -> multiprocessing.context.BaseContext | None:
     """The fork context, or ``None`` where fork is unavailable.
 
-    The pool requires fork: workers inherit the initializer arguments
-    (including live shared-memory queue handles) without pickling, and
-    start cheaply without re-importing the package.
+    The pool requires fork: workers inherit their pipes and the
+    heartbeat array without pickling, and start cheaply without
+    re-importing the package.
     """
     try:
         return multiprocessing.get_context("fork")
@@ -292,109 +123,96 @@ def _pool_context() -> multiprocessing.context.BaseContext | None:
         return None
 
 
-def _slot_bytes_for(jobs_list: Sequence[SeriesJob],
-                    setup: _WorkerSetup) -> int:
-    """Resolved ring-slot size: the largest block, capped."""
-    minutes_per_day = 24 * 60
-    cpu_points = setup.trace_days * minutes_per_day \
-        // setup.cpu_interval_minutes
-    bw_points = setup.trace_days * minutes_per_day \
-        // setup.bw_interval_minutes
-    per_vm = cpu_points + bw_points * (2 if setup.recipe.private else 1)
-    largest = max(job.vm_count for job in jobs_list) * per_vm * 4
-    cap = SHM_SLOT_CAP_BYTES
-    override = os.environ.get("REPRO_SHM_SLOT_MB")
-    if override:
-        try:
-            cap = max(1, int(override)) << 20
-        except ValueError:
-            pass
-    return max(1, min(largest, cap))
+# ---- transport -------------------------------------------------------------
 
 
-def run_series_jobs(jobs_list: Sequence[SeriesJob], scenario: Scenario,
-                    recipe: SeriesRecipe, n_jobs: int = 1,
-                    perf: PerfRegistry | None = None,
-                    handoff: str = "shm",
-                    supervision: SupervisionConfig | None = None,
-                    ) -> Iterator[SeriesBlock]:
-    """Render series jobs, yielding blocks in submission order.
+def _send(conn, message: object) -> None:
+    """Write one message: a pickle frame, then its raw out-of-band buffers.
 
-    ``n_jobs == 1`` (or a single job) renders inline; otherwise a pool
-    of ``min(n_jobs, len(jobs_list))`` supervised worker processes
-    renders concurrently with windowed submission, so the caller sees
-    the same sequence of bit-identical blocks.  ``handoff`` selects the
-    pooled result transport (``"shm"`` or ``"pickle"``); it changes
-    speed, never bytes.  ``supervision`` bundles the watchdog timeouts
-    and retry budget (default: :meth:`SupervisionConfig.from_env`).
+    Pickling happens before anything is written, so an unpicklable
+    message raises without leaving a partial frame in the pipe.
+    """
+    buffers: list = []
+    payload = pickle.dumps(message, protocol=5,
+                           buffer_callback=buffers.append)
+    raws = [buffer.raw() for buffer in buffers]
+    sizes = struct.pack(f"<{len(raws) + 1}Q", len(raws),
+                        *(raw.nbytes for raw in raws))
+    conn.send_bytes(sizes + payload)
+    fd = conn.fileno()
+    for raw in raws:
+        while raw.nbytes:
+            raw = raw[os.write(fd, raw):]
+
+
+def _recv(conn, stall_s: float | None = None) -> object:
+    """Read one :func:`_send` message, buffers straight into new arrays.
+
+    ``stall_s`` bounds the wait for each piece of a buffer, so a writer
+    frozen mid-message surfaces as :class:`EOFError` instead of hanging
+    the reader.
 
     Raises:
-        ConfigurationError: on a bad ``n_jobs`` or ``handoff`` value.
-        ParallelError: when the worker pool fails to start, or the
-            shared-memory ring is exhausted by repeated worker deaths.
-        QuarantineError: when one job exhausts its retry budget.
+        EOFError: when the writer closed or died mid-message, or stalled.
     """
-    if handoff not in HANDOFF_MODES:
-        raise ConfigurationError(
-            f"unknown handoff {handoff!r}, expected one of {HANDOFF_MODES}")
-    n_jobs = resolve_jobs(n_jobs)
-    if supervision is None:
-        supervision = SupervisionConfig.from_env()
-    journal = perf.journal if perf is not None else None
-    setup = _WorkerSetup(
-        seed=scenario.seed, recipe=recipe,
-        trace_days=scenario.trace_days,
-        cpu_interval_minutes=scenario.cpu_interval_minutes,
-        bw_interval_minutes=scenario.bw_interval_minutes,
-    )
-    serial = n_jobs == 1 or len(jobs_list) <= 1
-    ctx = None
-    if not serial:
-        ctx = _pool_context()
-        if ctx is None:
-            if journal is not None:
-                journal.warn(
-                    "fork start method unavailable on this platform; "
-                    "rendering series serially", jobs=n_jobs)
-            serial = True
-    if journal is not None:
-        # Dispatch events come first in both modes (submission is eager),
-        # so journals are identical across --jobs settings.
-        for job in jobs_list:
-            journal.emit("job_dispatch", app_id=job.app_id,
-                         vm_count=job.vm_count)
-    if serial:
-        yield from _run_serial(jobs_list, setup, perf, journal,
-                               supervision.retry)
-        return
-    yield from _run_pooled(jobs_list, setup, ctx, min(n_jobs, len(jobs_list)),
-                           handoff, perf, journal, supervision)
+    frame = conn.recv_bytes()
+    (count,) = struct.unpack_from("<Q", frame)
+    sizes = struct.unpack_from(f"<{count}Q", frame, 8)
+    fd = conn.fileno()
+    buffers = []
+    for size in sizes:
+        buffer = np.empty(size, dtype=np.uint8)
+        view = memoryview(buffer)
+        while view.nbytes:
+            if stall_s is not None \
+                    and not select.select([fd], [], [], stall_s)[0]:
+                raise EOFError("writer stalled mid-message")
+            read = os.readv(fd, [view])
+            if not read:
+                raise EOFError("writer closed mid-message")
+            view = view[read:]
+        buffers.append(buffer)
+    return pickle.loads(memoryview(frame)[8 * (count + 1):],
+                        buffers=buffers)
 
 
-#: Parent watchdog poll and worker heartbeat stamp intervals (seconds).
-_POOL_POLL_S = 0.05
+# ---- workers ---------------------------------------------------------------
+
+
+#: Worker heartbeat stamp interval and the parent's longest wait between
+#: watchdog passes (seconds).
 _HEARTBEAT_STAMP_S = 0.2
-
-#: Task-queue sentinel telling a worker to exit cleanly.
-_STOP = None
+_POLL_S = 0.25
 
 
-def _supervised_worker(index: int, gen: int, setup: _WorkerSetup, tasks,
-                       results, heartbeats, slot_intent, shm_names,
-                       free_slots, slot_bytes: int) -> None:
-    """Worker main loop: render dispatched jobs until the stop sentinel.
+def _one_line(error: BaseException | str) -> str:
+    """``Type: message`` for an exception; text passes through."""
+    if isinstance(error, str):
+        return error
+    return f"{type(error).__name__}: {error}"
 
-    A daemon thread stamps ``heartbeats[index]`` continuously so the
-    parent can tell a busy worker from a wedged one.  Job errors are
-    reported as outcomes, never raised: the worker survives a failed
-    job and stays available for the next dispatch.  ``gen`` tags every
-    result with the spawn generation, so a straggler message from a
-    killed predecessor cannot be mistaken for the respawn's work.
+
+def _portable_error(exc: Exception) -> Exception:
+    """``exc`` itself if it survives a pickle round trip, else a
+    :class:`ParallelError` carrying its one-line text."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:  # noqa: BLE001 - any failure means "not portable"
+        return ParallelError(_one_line(exc))
+    return exc
+
+
+def _worker_main(index: int, tasks, results, heartbeats,
+                 inherited: list) -> None:
+    """Worker loop: run ``(fn, arg)`` tasks until the stop message.
+
+    A daemon thread stamps ``heartbeats[index]`` so the parent can tell
+    a busy worker from a wedged one.  A task's exception is reported as
+    ``(False, (transient, error))``, never raised: the worker survives a
+    failed task and stays available for the next dispatch.
     """
-    _init_worker(setup, shm_names, free_slots, slot_bytes)
-    state = _WORKER
-    state["worker_index"] = index
-    state["slot_intent"] = slot_intent
+    for conn in inherited:  # other workers' pipe ends, copied by fork
+        conn.close()
 
     def stamp() -> None:  # pragma: no cover - timing-dependent thread
         while True:
@@ -403,353 +221,476 @@ def _supervised_worker(index: int, gen: int, setup: _WorkerSetup, tasks,
 
     threading.Thread(target=stamp, daemon=True).start()
     while True:
-        message = tasks.get()
-        if message is _STOP:
-            return
-        job_index, job = message
         try:
-            outcome = _render_in_worker(job)
-            results.put((index, gen, job_index, True, outcome))
-        except BaseException as exc:  # noqa: BLE001 - relayed to parent
-            if slot_intent is not None and slot_intent[index] >= 0:
-                # Acquired a slot but never shipped a ref for it: hand
-                # the slot straight back so it is not stranded.
-                free_slots.put(slot_intent[index])
-            results.put((index, gen, job_index, False,
-                         f"{type(exc).__name__}: {exc}"))
-        finally:
-            if slot_intent is not None:
-                slot_intent[index] = -1
+            message = _recv(tasks)
+        except EOFError:
+            return
+        if message is None:
+            return
+        fn, arg = message
+        try:
+            reply = (True, fn(arg))
+        except Exception as exc:  # noqa: BLE001 - relayed to the parent
+            reply = (False, (isinstance(exc, DEFAULT_TRANSIENT),
+                             _portable_error(exc)))
+        try:
+            _send(results, reply)
+        except (pickle.PicklingError, TypeError, AttributeError) as exc:
+            _send(results, (False, (False, ParallelError(
+                f"task result cannot be pickled: {_one_line(exc)}"))))
 
 
 @dataclass
-class _JobState:
-    """Supervisor-side lifecycle of one series job."""
+class _Task:
+    """Scheduler-side lifecycle of one submitted task."""
 
-    job: SeriesJob
-    index: int
+    key: object
+    label: str
+    fn: Callable
+    arg: object
+    seq: int
     attempts: int = 0
-    phase: str = "waiting"  # waiting | inflight | retry | done
     ready_at: float = 0.0
     deadline: float | None = None
 
 
-class _PoolWorker:
-    """One supervised worker process plus its private task queue."""
+class _Worker:
+    """One forked worker: its process, its two pipe ends, its task."""
 
-    __slots__ = ("index", "gen", "proc", "tasks", "current")
+    __slots__ = ("index", "proc", "tasks", "results", "task")
 
-    def __init__(self, index: int, gen: int, proc, tasks) -> None:
+    def __init__(self, index: int, proc, tasks, results) -> None:
         self.index = index
-        self.gen = gen
         self.proc = proc
         self.tasks = tasks
-        self.current: int | None = None
+        self.results = results
+        self.task: _Task | None = None
+
+    def close(self) -> None:
+        """Kill the process if it still runs and release both pipes."""
+        if self.proc.exitcode is None:
+            self.proc.kill()
+        self.proc.join()
+        self.tasks.close()
+        self.results.close()
 
 
-def _run_pooled(jobs_list: Sequence[SeriesJob], setup: _WorkerSetup,
-                ctx, processes: int, handoff: str,
-                perf: PerfRegistry | None, journal,
-                supervision: SupervisionConfig) -> Iterator[SeriesBlock]:
-    """The supervised pool path: windowed submission, shm transport,
-    watchdog-driven retry.
+def _stop_workers(workers: dict[int, _Worker]) -> None:
+    """Ask every worker to exit, give them a second, then kill the rest.
 
-    Submission is windowed to the slot count minus any slots leaked by
-    dead workers: in-flight jobs never exceed the free slots, so the
-    head-of-line job can always obtain one and in-order consumption
-    cannot deadlock.  Results are drained eagerly (rows copied out,
-    slot recycled, block buffered) and yielded in submission order, so
-    perf accounting and ``job_complete`` events keep the serial order.
+    Registered as a :class:`multiprocessing.util.Finalize` callback, so
+    it also runs when the pool is garbage-collected and at interpreter
+    exit, before multiprocessing joins its non-daemonic children.
     """
-    use_shm = (handoff == "shm" and shared_memory is not None
-               and not os.environ.get(SHM_DISABLE_ENV))
-    n_slots = processes + 2
-    policy = supervision.retry
-    segments: list = []
-    free_slots = None
-    shm_names = None
-    slot_intent = None
-    slot_bytes = 0
-    if use_shm:
-        slot_bytes = _slot_bytes_for(jobs_list, setup)
+    for worker in workers.values():
         try:
-            for _ in range(n_slots):
-                segments.append(shared_memory.SharedMemory(
-                    create=True, size=slot_bytes))
-        except OSError as exc:
-            for segment in segments:
-                segment.close()
-                segment.unlink()
-            raise ParallelError(
-                f"could not allocate {n_slots} shared-memory slots of "
-                f"{slot_bytes} bytes: {exc}") from exc
-        shm_names = [segment.name for segment in segments]
-        free_slots = ctx.Queue()
-        for index in range(n_slots):
-            free_slots.put(index)
-        slot_intent = ctx.Array("i", processes, lock=False)
-        for index in range(processes):
-            slot_intent[index] = -1
-    heartbeats = ctx.Array("d", processes, lock=False)
-    results = ctx.Queue()
-    states = [_JobState(job=job, index=index)
-              for index, job in enumerate(jobs_list)]
-    workers: list[_PoolWorker | None] = [None] * processes
-    retrying: set[int] = set()
-    buffered: dict[int, SeriesBlock] = {}
-    next_new = 0
-    next_yield = 0
-    started = 0
-    leaked = 0
-    shm_blocks = pickle_blocks = 0
-    shm_bytes = 0
+            _send(worker.tasks, None)
+        except OSError:
+            pass
+    deadline = time.monotonic() + 1.0
+    for worker in workers.values():
+        worker.proc.join(max(0.0, deadline - time.monotonic()))
+        worker.close()
+    workers.clear()
 
-    generations = [0] * processes
 
-    def spawn(index: int) -> None:
-        generations[index] += 1
-        tasks = ctx.SimpleQueue()
-        heartbeats[index] = time.monotonic()
-        proc = ctx.Process(
-            target=_supervised_worker,
-            args=(index, generations[index], setup, tasks, results,
-                  heartbeats, slot_intent, shm_names, free_slots,
-                  slot_bytes),
-            daemon=True)
+class _Pool:
+    """The supervised executor behind both public fronts.
+
+    :meth:`submit` queues a task; :meth:`next_result` returns finished
+    tasks in completion order as ``(key, value, error)``, with ``error``
+    ``None`` on success, the task's own exception on a non-transient
+    failure, or a :class:`~repro.errors.QuarantineError` once a task
+    spent its retry budget on transient failures and worker deaths.
+    ``kind`` names a task in errors ("series job") and ``field`` names
+    its label in journal events ("app_id").
+    """
+
+    def __init__(self, n_workers: int, journal,
+                 supervision: SupervisionConfig, kind: str,
+                 field: str) -> None:
+        self.journal = journal
+        self.supervision = supervision
+        self.kind = kind
+        self.field = field
+        ctx = _pool_context() if n_workers > 1 else None
+        if n_workers > 1 and ctx is None and journal is not None:
+            journal.warn("fork start method unavailable on this "
+                         "platform; running tasks serially", jobs=n_workers)
+        self._ctx = ctx
+        self._capacity = n_workers if ctx is not None else 1
+        self._heartbeats = (ctx.RawArray("d", n_workers)
+                            if ctx is not None else None)
+        self._workers: dict[int, _Worker] = {}
+        self._new: deque[_Task] = deque()
+        self._retry: list[_Task] = []
+        self._done: deque = deque()
+        self._seq = 0
+        self._stop: util.Finalize | None = None
+
+    def submit(self, key: object, fn: Callable, arg: object,
+               label: str | None = None) -> None:
+        """Queue ``fn(arg)``; ``label`` (default ``str(key)``) names it
+        in events and seeds its retry backoff."""
+        self._new.append(_Task(key, str(key) if label is None else label,
+                               fn, arg, self._seq))
+        self._seq += 1
+
+    def next_result(self) -> tuple[object, object, BaseException | None]:
+        """Block until any task finishes; return ``(key, value, error)``.
+
+        Raises:
+            ParallelError: when nothing is outstanding, or a worker
+                cannot be forked.
+        """
+        while not self._done:
+            if not (self._new or self._retry or self._busy()):
+                raise ParallelError("no outstanding tasks to wait for")
+            task = self._next_task(time.monotonic())
+            if task is None:
+                self._wait()
+            elif self._ctx is None:
+                self._run_inline(task)
+            else:
+                self._dispatch(task)
+        return self._done.popleft()
+
+    def close(self) -> None:
+        """Stop every worker and drop unfinished tasks; idempotent."""
+        if self._stop is not None:
+            self._stop()
+        self._new.clear()
+        self._retry.clear()
+        self._done.clear()
+
+    # -- scheduling ----------------------------------------------------------
+
+    def _busy(self) -> list[_Worker]:
+        return [w for w in self._workers.values() if w.task is not None]
+
+    def _next_task(self, now: float) -> _Task | None:
+        """The next task to start: a due retry first, then a new task.
+
+        A task waiting on its backoff holds its capacity slot, so at
+        ``n_jobs == 1`` tasks still finish in submission order.
+        """
+        running = len(self._busy())
+        if running >= self._capacity:
+            return None
+        due = [task for task in self._retry if task.ready_at <= now]
+        if due:
+            task = min(due, key=lambda t: t.seq)
+            self._retry.remove(task)
+            return task
+        if self._new and running + len(self._retry) < self._capacity:
+            return self._new.popleft()
+        return None
+
+    def _failed(self, task: _Task, transient: bool,
+                error: BaseException | str) -> None:
+        """Schedule a retry of a transient failure, or finish the task."""
+        policy = self.supervision.retry
+        if transient and task.attempts < policy.max_attempts:
+            delay = policy.delay(task.label, task.attempts)
+            task.ready_at = time.monotonic() + delay
+            self._retry.append(task)
+            self._emit("job_retry", task, attempt=task.attempts,
+                       delay_s=round(delay, 6), error=_one_line(error))
+            return
+        if transient:
+            self._emit("job_quarantined", task, attempts=task.attempts,
+                       error=_one_line(error))
+            error = QuarantineError(
+                f"{self.kind} {task.label!r} failed after {task.attempts} "
+                f"attempts; last error: {_one_line(error)}")
+        self._done.append((task.key, None, error))
+
+    def _emit(self, etype: str, task: _Task | None, **fields) -> None:
+        if self.journal is not None:
+            self.journal.emit(etype, **{
+                self.field: task.label if task is not None else ""},
+                **fields)
+
+    def _run_inline(self, task: _Task) -> None:
+        task.attempts += 1
+        try:
+            value = task.fn(task.arg)
+        except Exception as exc:  # noqa: BLE001 - same rule as a worker
+            self._failed(task, isinstance(exc, DEFAULT_TRANSIENT), exc)
+        else:
+            self._done.append((task.key, value, None))
+
+    # -- workers -------------------------------------------------------------
+
+    def _spawn(self) -> _Worker:
+        if self._stop is None or not self._stop.still_active():
+            self._stop = util.Finalize(self, _stop_workers,
+                                       args=(self._workers,),
+                                       exitpriority=10)
+        index = next(i for i in range(self._capacity)
+                     if i not in self._workers)
+        task_recv, task_send = self._ctx.Pipe(duplex=False)
+        result_recv, result_send = self._ctx.Pipe(duplex=False)
+        inherited = [task_send, result_recv] + [
+            conn for w in self._workers.values()
+            for conn in (w.tasks, w.results)]
+        self._heartbeats[index] = time.monotonic()
+        proc = self._ctx.Process(
+            target=_worker_main, name=f"repro-pool-{index}",
+            args=(index, task_recv, result_send, self._heartbeats,
+                  inherited))
         try:
             proc.start()
         except OSError as exc:
             raise ParallelError(
-                f"could not start series worker {index} of {processes} "
-                f"(fork): {exc}") from exc
-        workers[index] = _PoolWorker(index, generations[index], proc, tasks)
+                f"could not fork pool worker {index} of {self._capacity}: "
+                f"{exc}") from exc
+        finally:
+            task_recv.close()
+            result_send.close()
+        worker = _Worker(index, proc, task_send, result_recv)
+        self._workers[index] = worker
+        return worker
 
-    def get_result(timeout: float):
+    def _dispatch(self, task: _Task) -> None:
+        worker = next((w for w in self._workers.values() if w.task is None),
+                      None) or self._spawn()
+        task.attempts += 1
+        timeout = self.supervision.job_timeout_s
+        task.deadline = (time.monotonic() + timeout
+                         if timeout is not None else None)
+        worker.task = task
         try:
-            return results.get(timeout=timeout)
-        except queue_mod.Empty:
-            return None
-        except (EOFError, OSError, ValueError) as exc:
-            # A worker killed mid-write can tear the result pipe; the
-            # watchdog recovers the job, so drop the fragment.
-            if journal is not None:
-                journal.warn("undecodable pool result dropped",
-                             error=str(exc))
-            return None
-
-    def schedule_retry(state: _JobState, reason: str, now: float) -> None:
-        if state.attempts >= policy.max_attempts:
-            if journal is not None:
-                journal.emit("job_quarantined", app_id=state.job.app_id,
-                             attempts=state.attempts, error=str(reason))
-            raise QuarantineError(
-                f"series job {state.job.app_id!r} failed after "
-                f"{state.attempts} attempts; last error: {reason}")
-        delay = policy.delay(state.job.app_id, state.attempts)
-        state.phase = "retry"
-        state.ready_at = now + delay
-        retrying.add(state.index)
-        if journal is not None:
-            journal.emit("job_retry", app_id=state.job.app_id,
-                         attempt=state.attempts, delay_s=round(delay, 6),
-                         error=str(reason))
-
-    def handle(message, now: float) -> None:
-        nonlocal shm_blocks, pickle_blocks, shm_bytes
-        worker_index, gen, job_index, ok, payload = message
-        state = states[job_index]
-        worker = workers[worker_index]
-        if worker is not None and worker.gen == gen \
-                and worker.current == job_index:
-            worker.current = None
-        if state.phase == "done":
-            # Stale duplicate from a worker presumed dead: recycle its
-            # slot, drop the copy (its perf was never merged, so the
-            # accepted render stays exactly one per job).
-            if ok and isinstance(payload, _ShmBlockRef):
-                free_slots.put(payload.slot)
+            _send(worker.tasks, (task.fn, task.arg))
+        except OSError:
+            self._lost(worker)
             return
-        if not ok:
-            if state.phase == "inflight":
-                schedule_retry(state, str(payload), now)
-            return
-        retrying.discard(job_index)
-        if isinstance(payload, _ShmBlockRef):
-            block = _block_from_ref(payload, segments)
-            free_slots.put(payload.slot)
-            shm_blocks += 1
-            shm_bytes += (block.cpu_rows.nbytes + block.bw_rows.nbytes
-                          + (block.private_rows.nbytes
-                             if block.private_rows is not None else 0))
-        else:
-            block = payload
-            pickle_blocks += 1
-        state.phase = "done"
-        buffered[job_index] = block
-
-    def handle_death(worker: _PoolWorker, reason: str, now: float) -> None:
-        nonlocal leaked
-        worker.proc.join()
-        # Its final result may have been flushed before death: drain the
-        # queue so a completed job is accepted instead of retried.
-        while True:
-            message = get_result(0)
-            if message is None:
-                break
-            handle(message, now)
-        if slot_intent is not None and slot_intent[worker.index] >= 0:
-            # The worker held a slot it never shipped: count it leaked
-            # and shrink the window.  Never re-free it — the worker may
-            # have died between shipping and clearing the intent, and a
-            # double-freed slot would corrupt two blocks at once.
-            leaked += 1
-            slot_intent[worker.index] = -1
-            if n_slots - leaked < 1:
-                raise ParallelError(
-                    "shared-memory ring exhausted by repeated worker "
-                    f"deaths ({leaked} of {n_slots} slots leaked)")
-        job_index = worker.current
-        worker.current = None
-        if journal is not None:
-            journal.emit(
-                "worker_restart", worker=worker.index, reason=reason,
-                app_id=(states[job_index].job.app_id
-                        if job_index is not None else ""))
-        if job_index is not None and states[job_index].phase == "inflight":
-            schedule_retry(states[job_index], f"worker died ({reason})",
-                           now)
-        try:
-            worker.tasks.close()
-        except (OSError, AttributeError):  # pragma: no cover
-            pass
-        spawn(worker.index)
-
-    def watchdog(now: float) -> None:
-        for worker in workers:
-            if worker is None:
-                continue
-            exitcode = worker.proc.exitcode
-            if exitcode is not None:
-                handle_death(worker, f"exit code {exitcode}", now)
-                continue
-            if worker.current is not None:
-                deadline = states[worker.current].deadline
-                if deadline is not None and now > deadline:
-                    worker.proc.kill()
-                    handle_death(worker, "job timeout", now)
-                    continue
-            staleness = supervision.heartbeat_timeout_s
-            if staleness is not None \
-                    and now - heartbeats[worker.index] > staleness:
-                worker.proc.kill()
-                handle_death(worker, "heartbeat stale", now)
-
-    def dispatch(worker: _PoolWorker, state: _JobState, now: float) -> None:
-        state.attempts += 1
-        state.phase = "inflight"
-        state.deadline = (now + supervision.job_timeout_s
-                          if supervision.job_timeout_s is not None else None)
-        worker.current = state.index
-        worker.tasks.put((state.index, state.job))
         if fire("pool.kill_worker"):
-            # Supervisor-side chaos: kill at dispatch, before the victim
-            # can start writing results, so the pipe stays intact.
+            # Supervisor-side chaos: kill the worker just handed a task.
             worker.proc.kill()
 
+    def _wait(self) -> None:
+        """Wait for a result, a death or a retry; then run the watchdog."""
+        timeout = _POLL_S
+        if self._retry:
+            earliest = min(task.ready_at for task in self._retry)
+            timeout = min(timeout, max(0.0, earliest - time.monotonic()))
+        if self._ctx is None:
+            time.sleep(timeout)
+            return
+        owners = {}
+        for worker in self._workers.values():
+            if worker.task is not None:
+                owners[worker.results] = worker
+            owners[worker.proc.sentinel] = worker
+        ready = wait_ready(list(owners), timeout)
+        # Results before sentinels: a worker that reported and then died
+        # keeps its result.
+        for handle in sorted(ready, key=lambda h: isinstance(h, int)):
+            worker = owners[handle]
+            if self._workers.get(worker.index) is not worker:
+                continue  # already replaced this round
+            if handle is worker.results:
+                self._receive(worker)
+            else:
+                if worker.task is not None and worker.results.poll(0):
+                    self._receive(worker)
+                if self._workers.get(worker.index) is worker:
+                    self._lost(worker)
+        self._watchdog(time.monotonic())
+
+    def _receive(self, worker: _Worker) -> None:
+        try:
+            ok, payload = _recv(worker.results,
+                                self.supervision.heartbeat_timeout_s)
+        except (EOFError, OSError):
+            worker.proc.join(_POLL_S)
+            self._lost(worker)
+            return
+        task, worker.task = worker.task, None
+        if ok:
+            self._done.append((task.key, payload, None))
+        else:
+            self._failed(task, *payload)
+
+    def _watchdog(self, now: float) -> None:
+        stale_s = self.supervision.heartbeat_timeout_s
+        for worker in list(self._workers.values()):
+            task = worker.task
+            if task is not None and task.deadline is not None \
+                    and now > task.deadline:
+                self._lost(worker, "job timeout")
+            elif stale_s is not None \
+                    and now - self._heartbeats[worker.index] > stale_s:
+                self._lost(worker, "heartbeat stale")
+
+    def _lost(self, worker: _Worker, reason: str | None = None) -> None:
+        """Reap a dead or condemned worker and retry its task.
+
+        ``reason`` defaults to the exit code, read after the reap.
+        """
+        worker.close()
+        reason = reason or f"exit code {worker.proc.exitcode}"
+        del self._workers[worker.index]
+        task = worker.task
+        self._emit("worker_restart", task, worker=worker.index,
+                   reason=reason)
+        if task is not None:
+            self._failed(task, True,
+                         f"worker died without reporting ({reason})")
+
+
+def _in_order(count: int, window: int, submit: Callable[[int], None],
+              collect: Callable[[], tuple[int, object]],
+              stop: Callable[[], None]) -> Iterator:
+    """Deliver the results of tasks ``0..count-1`` in submission order.
+
+    ``submit(i)`` hands task ``i`` to a pool; ``collect()`` blocks for the
+    next finished ``(i, value)``.  At most ``window`` tasks run ahead of
+    the one awaited, which bounds the results buffered out of order.  ``stop()`` runs once the last
+    result has arrived, before the final yield: consumers such as
+    ``zip()`` never resume a generator after its last item.
+    """
+    buffered: dict[int, object] = {}
+    submitted = 0
+    for index in range(count):
+        while submitted < min(count, index + window):
+            submit(submitted)
+            submitted += 1
+        while index not in buffered:
+            key, value = collect()
+            buffered[key] = value
+        if index == count - 1:
+            stop()
+        yield buffered.pop(index)
+
+
+# ---- series front ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _WorkerSetup:
+    """Everything a series task needs besides the job itself."""
+
+    seed: int
+    recipe: SeriesRecipe
+    trace_days: int
+    cpu_interval_minutes: int
+    bw_interval_minutes: int
+
+
+#: ``(setup, cpu axis, bw axis, season cache)`` memoised by
+#: :func:`_render_task`.
+_SERIES_STATE: tuple | None = None
+
+
+def _render_task(arg: tuple[_WorkerSetup, SeriesJob]) -> SeriesBlock:
+    """Render one series job with a private perf registry.
+
+    Rebuilds the app's RNG substream from (seed, recipe, app id), so a
+    retried render is bit-identical to a first-try success and counts
+    exactly once.  The time axes and season curves are memoised per
+    setup, once per worker.
+    """
+    global _SERIES_STATE
+    setup, job = arg
+    if _SERIES_STATE is None or _SERIES_STATE[0] != setup:
+        _SERIES_STATE = (
+            setup,
+            time_axis_minutes(setup.trace_days, setup.cpu_interval_minutes),
+            time_axis_minutes(setup.trace_days, setup.bw_interval_minutes),
+            SeasonCache())
+    _, cpu_minutes, bw_minutes, seasons = _SERIES_STATE
+    perf = PerfRegistry()
+    rng = job_rng(setup.seed, setup.recipe, job.app_id)
+    block = render_series_job(job, setup.recipe, cpu_minutes, bw_minutes,
+                              rng, seasons=seasons, perf=perf)
+    block.perf = perf
+    return block
+
+
+def run_series_jobs(jobs_list: Sequence[SeriesJob], scenario: Scenario,
+                    recipe: SeriesRecipe, n_jobs: int = 1,
+                    perf: PerfRegistry | None = None,
+                    supervision: SupervisionConfig | None = None,
+                    ) -> Iterator[SeriesBlock]:
+    """Render series jobs, yielding blocks in submission order.
+
+    ``n_jobs == 1`` (or a single job) renders inline; otherwise
+    ``min(n_jobs, len(jobs_list))`` supervised workers render
+    concurrently, at most ``workers + 2`` jobs ahead of the block being
+    yielded, so the caller sees the same sequence of bit-identical
+    blocks.  The workers stop as soon as the last block has arrived.
+    ``supervision`` bundles the watchdog timeouts and retry budget
+    (default: :meth:`SupervisionConfig.from_env`).
+
+    Raises:
+        ConfigurationError: on a bad ``n_jobs`` value.
+        ParallelError: when a worker cannot be forked, or a job's
+            exception cannot be pickled (its one-line text is kept).
+        QuarantineError: when one job exhausts its retry budget.
+        Exception: a job's own non-transient exception, re-raised on
+            its first attempt.
+    """
+    n_jobs = resolve_jobs(n_jobs)
+    if supervision is None:
+        supervision = SupervisionConfig.from_env()
+    journal = perf.journal if perf is not None else None
+    setup = _WorkerSetup(scenario.seed, recipe, scenario.trace_days,
+                         scenario.cpu_interval_minutes,
+                         scenario.bw_interval_minutes)
+    if journal is not None:
+        # Dispatch events come first at every --jobs, so journals are
+        # identical across settings.
+        for job in jobs_list:
+            journal.emit("job_dispatch", app_id=job.app_id,
+                         vm_count=job.vm_count)
+    workers = min(n_jobs, len(jobs_list))
+    pool = _Pool(workers, journal, supervision, kind="series job",
+                 field="app_id")
+
+    def submit(index: int) -> None:
+        job = jobs_list[index]
+        pool.submit(index, _render_task, (setup, job), label=job.app_id)
+
+    def collect() -> tuple[int, SeriesBlock]:
+        index, block, error = pool.next_result()
+        if error is not None:
+            raise error
+        return index, block
+
+    def stop() -> None:
+        global _SERIES_STATE
+        pool.close()
+        _SERIES_STATE = None
+
     try:
-        for index in range(processes):
-            spawn(index)
-        last_watchdog = time.monotonic()
-        while next_yield < len(states):
-            now = time.monotonic()
-            for worker in workers:
-                if worker is None or worker.current is not None:
-                    continue
-                ready = [i for i in retrying if states[i].ready_at <= now]
-                if ready:
-                    state = states[min(ready)]
-                    retrying.discard(state.index)
-                elif next_new < len(states) \
-                        and started - next_yield < n_slots - leaked:
-                    state = states[next_new]
-                    next_new += 1
-                    started += 1
-                else:
-                    break
-                dispatch(worker, state, now)
-            message = get_result(_POOL_POLL_S)
-            now = time.monotonic()
-            if message is not None:
-                handle(message, now)
-                while True:  # drain without blocking
-                    message = get_result(0)
-                    if message is None:
-                        break
-                    handle(message, now)
-            # Liveness: a steady result stream from healthy workers must
-            # not starve detection of the one that died.
-            if message is None or now - last_watchdog > 5 * _POOL_POLL_S:
-                watchdog(now)
-                last_watchdog = now
-            while next_yield in buffered:
-                block = buffered.pop(next_yield)
-                state = states[next_yield]
-                _account_block(state.job, block.perf, perf, journal)
-                block.perf = None
-                next_yield += 1
-                if next_yield == len(states) and journal is not None \
-                        and use_shm:
-                    # Emitted before the final yield: consumers like the
-                    # generators' zip() never advance the iterator past
-                    # its last block, so a post-loop emit would be lost.
-                    journal.emit("shm_handoff", blocks=shm_blocks,
-                                 fallback_blocks=pickle_blocks,
-                                 slots=n_slots, slot_bytes=slot_bytes,
-                                 bytes=shm_bytes, workers=processes)
-                yield block
+        blocks = _in_order(len(jobs_list), workers + 2, submit, collect,
+                           stop)
+        for job, block in zip(jobs_list, blocks):
+            _account_block(job, block.perf, perf, journal)
+            block.perf = None
+            yield block
     finally:
-        for worker in workers:
-            if worker is None:
-                continue
-            if worker.proc.exitcode is None:
-                try:
-                    worker.tasks.put(_STOP)
-                except (OSError, ValueError):  # pragma: no cover
-                    pass
-                worker.proc.join(timeout=1.0)
-            if worker.proc.exitcode is None:
-                worker.proc.kill()
-                worker.proc.join()
-        for q in (results, free_slots):
-            if q is not None:
-                q.close()
-                q.cancel_join_thread()
-        for segment in segments:
-            segment.close()
-            try:
-                segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - double unlink
-                pass
+        stop()
 
 
-def _account_block(job: SeriesJob, worker_perf: PerfRegistry | None,
+def _account_block(job: SeriesJob, worker_perf: PerfRegistry,
                    perf: PerfRegistry | None, journal) -> None:
     """Fold one rendered job's telemetry into the parent's registry.
 
-    Both execution paths route per-job spans through
-    :meth:`PerfRegistry.merge` and emit the same ``job_complete`` event,
-    which is what keeps serial and pooled journals identical.
+    Inline and pooled renders both merge their private registry and
+    emit ``job_complete`` in submission order, which keeps serial and
+    pooled journals identical.
     """
-    if perf is not None and worker_perf is not None:
+    if perf is not None:
         perf.merge(worker_perf)
     if journal is not None:
-        wall = (worker_perf.wall_s("series_render")
-                if worker_perf is not None else 0.0)
-        journal.emit("job_complete", app_id=job.app_id,
-                     vms=job.vm_count, wall_s=round(wall, 6))
+        journal.emit("job_complete", app_id=job.app_id, vms=job.vm_count,
+                     wall_s=round(worker_perf.wall_s("series_render"), 6))
 
 
-# ---- coarse-grained task farm (sweep cells) ------------------------------
+# ---- task front (sweep cells, QoE chunks) ----------------------------------
 
 
 @dataclass(frozen=True)
@@ -762,118 +703,49 @@ class TaskOutcome:
     error: str | None = None
 
 
-def _farm_task(fn: Callable, task_id: str, arg: object, results) -> None:
-    """Worker entry: run one task, report exactly one outcome tuple."""
-    try:
-        value = fn(arg)
-    except BaseException as exc:  # noqa: BLE001 - relayed to the parent
-        results.put((task_id, False, f"{type(exc).__name__}: {exc}"))
-        raise SystemExit(1)
-    results.put((task_id, True, value))
-
-
 class TaskFarm:
-    """Run independent heavyweight tasks in non-daemon forked workers.
+    """Run independent heavyweight tasks on the supervised pool.
 
     Tasks are submitted as ``(task_id, fn, arg)`` and collected with
     :meth:`next_outcome` in completion order, which lets a scheduler
     unlock dependent work (a sweep group's followers) the moment its
     prerequisite finishes.  At ``n_jobs == 1`` — or where fork is
-    unavailable — submission queues the task and :meth:`next_outcome`
-    runs it inline, so scheduling semantics are identical either way.
+    unavailable — :meth:`next_outcome` runs the next queued task inline,
+    so scheduling semantics are identical either way.  ``fn`` and
+    ``arg`` must be picklable (``fn`` a module-level function).
 
-    Unlike :func:`run_series_jobs`'s pool, workers are **not** daemonic:
-    a farmed task may start its own series pool (nested parallelism),
-    which ``multiprocessing.Pool`` forbids its daemon workers.
-
-    Supervision: a worker that dies silently (OOM kill, SIGKILL, the
-    ``farm.kill_worker`` chaos site) is retried under ``retry`` before
-    surfacing as a failed outcome, and a task failing with an
-    :class:`~repro.errors.InjectedFault` (the ``sweep.cell`` chaos
-    site) is resubmitted the same way.  Genuine task exceptions are
-    never retried — a sweep cell owns its internal I/O retries, so a
-    failure that reaches the farm is diagnostic, not transient.
+    Workers are not daemonic: a farmed task may start its own series
+    pool (nested parallelism).  Supervision is the series pool's
+    (:meth:`SupervisionConfig.from_env`): transient errors, worker
+    deaths, job timeouts and stale heartbeats are retried; a task that
+    spends its budget, or raises anything else, becomes a failed
+    :class:`TaskOutcome` with a one-line error.
     """
 
-    #: Seconds to wait for an in-flight result before re-checking
-    #: worker liveness (and, after a dead worker is seen, the grace
-    #: period for its possibly-buffered final result).
-    _POLL_S = 0.25
-
-    def __init__(self, n_jobs: int = 1, journal=None,
-                 retry: RetryPolicy | None = None) -> None:
+    def __init__(self, n_jobs: int = 1, journal=None) -> None:
         self.n_jobs = resolve_jobs(n_jobs)
         self.journal = journal
-        self.retry = retry if retry is not None \
-            else RetryPolicy(max_attempts=2)
-        ctx = _pool_context() if self.n_jobs > 1 else None
-        if self.n_jobs > 1 and ctx is None:
-            if journal is not None:
-                journal.warn("fork start method unavailable; running "
-                             "farmed tasks serially", jobs=self.n_jobs)
-        self._ctx = ctx
-        self._serial = ctx is None or self.n_jobs == 1
-        self._results = ctx.Queue() if not self._serial else None
-        self._procs: dict[str, multiprocessing.process.BaseProcess] = {}
-        self._waiting: deque = deque()
-        self._attempts: dict[str, int] = {}
-        self._specs: dict[str, tuple[Callable, object]] = {}
-        self._outstanding = 0
+        self._pool = _Pool(self.n_jobs, journal,
+                           SupervisionConfig.from_env(), kind="task",
+                           field="task")
+        self._outstanding: set[str] = set()
 
     @property
     def outstanding(self) -> int:
         """Tasks submitted but not yet returned by :meth:`next_outcome`."""
-        return self._outstanding
+        return len(self._outstanding)
 
     def submit(self, task_id: str, fn: Callable, arg: object) -> None:
-        """Enqueue one task; starts immediately if a worker slot is free."""
-        if any(task_id == queued[0] for queued in self._waiting) \
-                or task_id in self._procs:
+        """Queue one task; it starts as soon as a worker is free.
+
+        Raises:
+            ConfigurationError: when ``task_id`` is already outstanding.
+        """
+        if task_id in self._outstanding:
             raise ConfigurationError(
                 f"task id {task_id!r} is already outstanding")
-        self._waiting.append((task_id, fn, arg))
-        self._specs[task_id] = (fn, arg)
-        self._outstanding += 1
-        self._fill()
-
-    def _fill(self) -> None:
-        if self._serial:
-            return
-        while self._waiting and len(self._procs) < self.n_jobs:
-            task_id, fn, arg = self._waiting.popleft()
-            self._attempts[task_id] = self._attempts.get(task_id, 0) + 1
-            proc = self._ctx.Process(
-                target=_farm_task, args=(fn, task_id, arg, self._results),
-                daemon=False)
-            try:
-                proc.start()
-            except OSError as exc:
-                raise ParallelError(
-                    f"could not fork worker for task {task_id!r}: "
-                    f"{exc}") from exc
-            if fire("farm.kill_worker"):
-                # Supervisor-side chaos: kill the fresh worker before it
-                # reports, exercising the silent-death retry path.
-                proc.kill()
-            self._procs[task_id] = proc
-
-    def _retry_task(self, task_id: str, event: str, **fields) -> None:
-        """Resubmit a task after a retryable failure (with backoff)."""
-        attempt = self._attempts.get(task_id, 1)
-        if self.journal is not None:
-            self.journal.emit(event, task=task_id, attempt=attempt,
-                              **fields)
-        time.sleep(self.retry.delay(task_id, attempt))
-        fn, arg = self._specs[task_id]
-        self._waiting.append((task_id, fn, arg))
-        self._fill()
-
-    def _finish(self, task_id: str) -> None:
-        """Drop per-task supervision state once an outcome is final."""
-        self._attempts.pop(task_id, None)
-        self._specs.pop(task_id, None)
-        self._outstanding -= 1
-        self._fill()
+        self._outstanding.add(task_id)
+        self._pool.submit(task_id, fn, arg)
 
     def next_outcome(self) -> TaskOutcome:
         """Block until any outstanding task finishes; return its outcome.
@@ -883,156 +755,44 @@ class TaskFarm:
         """
         if not self._outstanding:
             raise ConfigurationError("no outstanding tasks to wait for")
-        if self._serial:
-            return self._serial_outcome()
-        while True:
-            message = None
-            try:
-                message = self._results.get(timeout=self._POLL_S)
-            except queue_mod.Empty:
-                dead = [tid for tid, proc in self._procs.items()
-                        if proc.exitcode is not None]
-                if dead:
-                    # A worker exited: either its final result is still
-                    # in the pipe (grace get) or it died silently
-                    # (SIGKILL, OOM) and is retried or reported failed.
-                    try:
-                        message = self._results.get(
-                            timeout=self._POLL_S * 4)
-                    except queue_mod.Empty:
-                        outcome = self._silent_death(dead[0])
-                        if outcome is not None:
-                            return outcome
-                        continue
-            if message is None:
-                continue
-            task_id, ok, payload = message
-            proc = self._procs.pop(task_id, None)
-            if proc is not None:
-                proc.join()
-            if not ok and str(payload).startswith("InjectedFault") \
-                    and self._attempts.get(task_id, 1) \
-                    < self.retry.max_attempts:
-                self._retry_task(task_id, "job_retry", error=str(payload))
-                continue
-            self._finish(task_id)
-            if ok:
-                return TaskOutcome(task_id, True, value=payload)
-            return TaskOutcome(task_id, False, error=str(payload))
-
-    def _silent_death(self, task_id: str) -> TaskOutcome | None:
-        """Handle a worker that exited without reporting.
-
-        Returns the failed outcome once the retry budget is spent,
-        ``None`` after scheduling a retry.
-        """
-        proc = self._procs.pop(task_id)
-        proc.join()
-        if self._attempts.get(task_id, 1) < self.retry.max_attempts:
-            self._retry_task(task_id, "worker_restart",
-                             reason=f"exit code {proc.exitcode}")
-            return None
-        self._finish(task_id)
-        return TaskOutcome(
-            task_id, False,
-            error=f"worker died without reporting "
-                  f"(exit code {proc.exitcode})")
-
-    def _serial_outcome(self) -> TaskOutcome:
-        """The inline path, with the same injected-fault retry policy."""
-        task_id, fn, arg = self._waiting.popleft()
-        self._specs.pop(task_id, None)
-        self._outstanding -= 1
-        attempt = 0
-        while True:
-            attempt += 1
-            try:
-                value = fn(arg)
-            except InjectedFault as exc:
-                if attempt < self.retry.max_attempts:
-                    if self.journal is not None:
-                        self.journal.emit(
-                            "job_retry", task=task_id, attempt=attempt,
-                            error=f"{type(exc).__name__}: {exc}")
-                    time.sleep(self.retry.delay(task_id, attempt))
-                    continue
-                return TaskOutcome(task_id, False,
-                                   error=f"{type(exc).__name__}: {exc}")
-            except Exception as exc:  # noqa: BLE001 - mirrored worker path
-                return TaskOutcome(task_id, False,
-                                   error=f"{type(exc).__name__}: {exc}")
+        task_id, value, error = self._pool.next_result()
+        self._outstanding.discard(task_id)
+        if error is None:
             return TaskOutcome(task_id, True, value=value)
+        return TaskOutcome(task_id, False, error=_one_line(error))
+
+    def in_order(self, tasks: Sequence[tuple[str, Callable, object]]
+                 ) -> Iterator:
+        """Run ``(task_id, fn, arg)`` tasks, yielding values in order.
+
+        The series front's ordered delivery over :meth:`next_outcome`:
+        at most ``n_jobs + 2`` tasks run ahead of the value being
+        yielded, and the farm is closed once the last value arrives.
+
+        Raises:
+            ParallelError: naming the first task that failed.
+        """
+        position = {task_id: index
+                    for index, (task_id, _, _) in enumerate(tasks)}
+
+        def collect() -> tuple[int, object]:
+            outcome = self.next_outcome()
+            if not outcome.ok:
+                raise ParallelError(
+                    f"task {outcome.task_id} failed: {outcome.error}")
+            return position[outcome.task_id], outcome.value
+
+        return _in_order(len(tasks), self.n_jobs + 2,
+                         lambda index: self.submit(*tasks[index]),
+                         collect, self.close)
 
     def close(self) -> None:
-        """Terminate any still-running workers and drop queued tasks."""
-        self._waiting.clear()
-        for proc in self._procs.values():
-            if proc.exitcode is None:
-                proc.terminate()
-            proc.join()
-        self._procs.clear()
-        self._attempts.clear()
-        self._specs.clear()
-        self._outstanding = 0
-        if self._results is not None:
-            self._results.close()
-            self._results = None
+        """Stop every worker and drop queued tasks."""
+        self._pool.close()
+        self._outstanding.clear()
 
     def __enter__(self) -> "TaskFarm":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-
-def _run_serial(jobs_list: Sequence[SeriesJob], setup: _WorkerSetup,
-                perf: PerfRegistry | None, journal=None,
-                policy: RetryPolicy | None = None) -> Iterator[SeriesBlock]:
-    """The in-process path: same per-app renderer, no pool overhead.
-
-    Each job records into a private registry that is merged into the
-    parent's — mirroring what the pool does across the process boundary —
-    so telemetry (and any attached journal) cannot tell the paths apart.
-    Transient render failures (injected faults, flaky I/O) retry under
-    the same policy as the pool: each attempt rebuilds the RNG substream
-    and a fresh perf registry, so a retried render is bit-identical to a
-    first-try success and counts exactly once.
-    """
-    if policy is None:
-        policy = RetryPolicy()
-    cpu_minutes = time_axis_minutes(setup.trace_days,
-                                    setup.cpu_interval_minutes)
-    bw_minutes = time_axis_minutes(setup.trace_days,
-                                   setup.bw_interval_minutes)
-    seasons = SeasonCache()
-    for job in jobs_list:
-        def attempt(job=job):
-            rng = job_rng(setup.seed, setup.recipe, job.app_id)
-            job_perf = PerfRegistry() if perf is not None else None
-            block = render_series_job(job, setup.recipe, cpu_minutes,
-                                      bw_minutes, rng, seasons=seasons,
-                                      perf=job_perf)
-            return block, job_perf
-
-        def on_retry(attempt_no, delay_s, exc, job=job):
-            if journal is not None:
-                journal.emit("job_retry", app_id=job.app_id,
-                             attempt=attempt_no,
-                             delay_s=round(delay_s, 6),
-                             error=f"{type(exc).__name__}: {exc}")
-
-        try:
-            block, job_perf = call_with_retry(
-                attempt, policy=policy, token=job.app_id,
-                on_retry=on_retry)
-        except (InjectedFault, OSError) as exc:
-            if journal is not None:
-                journal.emit("job_quarantined", app_id=job.app_id,
-                             attempts=policy.max_attempts,
-                             error=f"{type(exc).__name__}: {exc}")
-            raise QuarantineError(
-                f"series job {job.app_id!r} failed after "
-                f"{policy.max_attempts} attempts; last error: "
-                f"{type(exc).__name__}: {exc}") from exc
-        _account_block(job, job_perf, perf, journal)
-        yield block

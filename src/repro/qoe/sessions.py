@@ -415,9 +415,10 @@ def run_sessions(workload: SessionWorkload, arm: str,
                  spill_dir: Path | str | None = None) -> ArmResult:
     """Run one arm chunked through a :class:`~repro.parallel.TaskFarm`.
 
-    Chunks are submitted up front and folded strictly in index order as
-    they complete, so digests, histograms and means are independent of
-    worker scheduling.  With ``spill_dir`` set, the per-session metric
+    Chunks arrive through :meth:`~repro.parallel.TaskFarm.in_order`, the
+    series pool's ordered delivery, and are folded strictly in index
+    order, so digests, histograms and means are independent of worker
+    scheduling.  With ``spill_dir`` set, the per-session metric
     rows additionally stream to float32 shards (``repro.shards`` layout)
     for offline inspection; the in-memory state stays a handful of
     sketches either way.
@@ -431,13 +432,11 @@ def run_sessions(workload: SessionWorkload, arm: str,
     if chunk_sessions <= 0:
         raise ParallelError(
             f"chunk_sessions must be positive, got {chunk_sessions}")
-    starts = list(range(0, workload.n_sessions, chunk_sessions))
-    farm = TaskFarm(n_jobs=jobs, journal=journal)
-    for chunk_index, chunk_start in enumerate(starts):
-        chunk_count = min(chunk_sessions,
-                          workload.n_sessions - chunk_start)
-        farm.submit(f"qoe:{arm}:{chunk_index}", _simulate_chunk_task,
-                    (workload, chunk_start, chunk_count, arm))
+    tasks = [(f"qoe:{arm}:{index}", _simulate_chunk_task,
+              (workload, start,
+               min(chunk_sessions, workload.n_sessions - start), arm))
+             for index, start in enumerate(
+                 range(0, workload.n_sessions, chunk_sessions))]
 
     writer = None
     if spill_dir is not None:
@@ -449,17 +448,8 @@ def run_sessions(workload: SessionWorkload, arm: str,
     histograms = {metric: StreamingHistogram(*HIST_SPECS[metric])
                   for metric in METRICS}
     sums = {metric: 0.0 for metric in METRICS}
-    pending: dict[int, dict[str, np.ndarray]] = {}
-    next_index = 0
-    while farm.outstanding:
-        outcome = farm.next_outcome()
-        if not outcome.ok:
-            raise ParallelError(
-                f"session chunk {outcome.task_id} failed: "
-                f"{outcome.error}")
-        pending[int(outcome.task_id.rsplit(":", 1)[1])] = outcome.value
-        while next_index in pending:
-            chunk = pending.pop(next_index)
+    with TaskFarm(n_jobs=jobs, journal=journal) as farm:
+        for index, chunk in enumerate(farm.in_order(tasks)):
             digest.update(chunk)
             for metric in METRICS:
                 histograms[metric].add(chunk[metric])
@@ -469,9 +459,8 @@ def run_sessions(workload: SessionWorkload, arm: str,
                     [chunk[metric] for metric in METRICS],
                     axis=1).astype(np.float32))
             if journal is not None:
-                journal.emit("session_chunk", arm=arm, chunk=next_index,
+                journal.emit("session_chunk", arm=arm, chunk=index,
                              sessions=int(chunk[METRICS[0]].size))
-            next_index += 1
     if writer is not None:
         writer.finalize()
     means = {metric: sums[metric] / workload.n_sessions

@@ -11,7 +11,7 @@ the *runner* survive the same weather.  It has three pieces:
   seeded exponential backoff and jitter;
 * :mod:`repro.resilience.supervise` — the watchdog configuration
   (per-job timeout, heartbeat staleness, retry budget) consumed by the
-  supervised pool and task farm in :mod:`repro.parallel`.
+  one supervised worker pool in :mod:`repro.parallel`.
 
 The design contract, enforced by the chaos CI gate: recovery changes
 *when* work happens, never *what* it produces — a run that survives

@@ -1,12 +1,16 @@
-"""Supervision knobs shared by the series pool and the task farm.
+"""Supervision knobs of the one worker pool in :mod:`repro.parallel`.
 
 A :class:`SupervisionConfig` bundles the watchdog timeouts with the
-job-level :class:`~repro.resilience.retry.RetryPolicy`.  The defaults
-are deliberately generous — a paper-scale series job renders in
-seconds, a city-scale sweep cell in minutes, so the stock timeouts only
-ever catch genuinely wedged workers — and every knob has an
-environment override so chaos probes and constrained CI hosts can
-tighten them without threading parameters through the study stack.
+job-level :class:`~repro.resilience.retry.RetryPolicy`.  Both fronts of
+the pool read it: :func:`~repro.parallel.run_series_jobs` (series
+blocks; it also accepts an explicit config) and
+:class:`~repro.parallel.TaskFarm` (sweep cells and QoE chunks, always
+:meth:`SupervisionConfig.from_env`).  The defaults are deliberately
+generous — a paper-scale series job renders in seconds, a city-scale
+sweep cell in minutes, so the stock timeouts only ever catch genuinely
+wedged workers — and every knob has an environment override so chaos
+probes and constrained CI hosts can tighten them without threading
+parameters through the study stack.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ artifact cold into the sweep's :class:`~repro.cache.ArtifactCache`;
 once it finishes, the remaining *followers* are released all at once
 and load the shared artifacts warm.  Groups are mutually independent,
 so leaders of different groups run concurrently up to ``--jobs``.
-Cells execute in non-daemonic forked workers
+Cells execute on the supervised pool's non-daemonic forked workers
 (:class:`~repro.parallel.TaskFarm`), so each cell may itself run a
 series pool.  Without a cache every cell is its own group (nothing can
 be shared, nothing is serialised).

@@ -161,13 +161,12 @@ class TestMisc:
     def test_canonical_events_drops_volatile_event_types(self):
         from repro.obs import VOLATILE_EVENT_TYPES
 
-        assert {"chunk_spill", "shm_handoff"} <= VOLATILE_EVENT_TYPES
+        assert {"chunk_spill", "session_chunk"} <= VOLATILE_EVENT_TYPES
         journal = RunJournal(None)
         journal.emit("phase_begin", phase="p")
         journal.emit("chunk_spill", kind="cpu", shard=0, rows=64,
                      bytes=1024)
-        journal.emit("shm_handoff", blocks=3, fallback_blocks=0, slots=4,
-                     slot_bytes=128, bytes=4096, workers=2)
+        journal.emit("session_chunk", arm="edge", chunk=0, sessions=64)
         journal.emit("phase_end", phase="p", status="ok", wall_s=0.1)
         canonical = canonical_events(journal.events)
         assert [e["type"] for e in canonical] == ["phase_begin", "phase_end"]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.config import Scenario
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ParallelError
 from repro.obs import RunJournal, canonical_events
 from repro.parallel import resolve_jobs, run_series_jobs
 from repro.perf import PerfRegistry
@@ -80,85 +80,12 @@ def _block_rows(blocks):
 
 
 class TestShmHandoff:
-    """The shared-memory transport changes speed, never bytes."""
+    """Inline and pooled execution differ in speed, never in bytes.
 
-    def test_shm_equals_pickle_handoff(self):
-        jobs = _jobs(5)
-        via_shm = list(run_series_jobs(jobs, SCENARIO, NEP_RECIPE,
-                                       n_jobs=2, handoff="shm"))
-        via_pickle = list(run_series_jobs(jobs, SCENARIO, NEP_RECIPE,
-                                          n_jobs=2, handoff="pickle"))
-        assert _block_rows(via_shm) == _block_rows(via_pickle)
-
-    def test_unknown_handoff_rejected(self):
-        with pytest.raises(ConfigurationError):
-            list(run_series_jobs(_jobs(2), SCENARIO, NEP_RECIPE,
-                                 n_jobs=2, handoff="carrier-pigeon"))
-
-    def test_shm_handoff_event_counts_blocks(self):
-        jobs = _jobs(4)
-        journal = RunJournal(None)
-        perf = PerfRegistry(journal=journal)
-        blocks = list(run_series_jobs(jobs, SCENARIO, NEP_RECIPE,
-                                      n_jobs=2, perf=perf))
-        assert len(blocks) == len(jobs)
-        events = [e for e in journal.events if e["type"] == "shm_handoff"]
-        assert len(events) == 1
-        assert events[0]["blocks"] == len(jobs)
-        assert events[0]["fallback_blocks"] == 0
-        assert events[0]["workers"] == 2
-        assert events[0]["bytes"] > 0
-
-    def test_shm_handoff_event_survives_partial_consumers(self):
-        """Regression: the generators zip() over the block iterator and
-        never advance it past the last block, so the event must be
-        emitted before the final yield, not after the loop."""
-        from repro.workload.generator import generate_nep_workload
-
-        journal = RunJournal(None)
-        perf = PerfRegistry(journal=journal)
-        generate_nep_workload(SCENARIO, jobs=2, perf=perf)
-        events = [e for e in journal.events if e["type"] == "shm_handoff"]
-        assert len(events) == 1
-        assert events[0]["blocks"] + events[0]["fallback_blocks"] > 0
-
-    def test_oversized_blocks_fall_back_to_pickle(self, monkeypatch):
-        # A 1-byte slot makes every block oversized: the ring stays up
-        # but every result travels the legacy pipe, bit-identically.
-        monkeypatch.setattr("repro.parallel.SHM_SLOT_CAP_BYTES", 1)
-        jobs = _jobs(4)
-        journal = RunJournal(None)
-        perf = PerfRegistry(journal=journal)
-        fallback = list(run_series_jobs(jobs, SCENARIO, NEP_RECIPE,
-                                        n_jobs=2, perf=perf))
-        serial = list(run_series_jobs(jobs, SCENARIO, NEP_RECIPE, n_jobs=1))
-        assert _block_rows(fallback) == _block_rows(serial)
-        event = next(e for e in journal.events
-                     if e["type"] == "shm_handoff")
-        assert event["blocks"] == 0
-        assert event["fallback_blocks"] == len(jobs)
-
-    def test_kill_switch_disables_shm(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_SHM", "1")
-        jobs = _jobs(4)
-        journal = RunJournal(None)
-        perf = PerfRegistry(journal=journal)
-        disabled = list(run_series_jobs(jobs, SCENARIO, NEP_RECIPE,
-                                        n_jobs=2, perf=perf))
-        serial = list(run_series_jobs(jobs, SCENARIO, NEP_RECIPE, n_jobs=1))
-        assert _block_rows(disabled) == _block_rows(serial)
-        assert not [e for e in journal.events if e["type"] == "shm_handoff"]
-
-    def test_slot_size_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_SLOT_MB", "1")
-        jobs = _jobs(3)
-        journal = RunJournal(None)
-        perf = PerfRegistry(journal=journal)
-        list(run_series_jobs(jobs, SCENARIO, NEP_RECIPE, n_jobs=2,
-                             perf=perf))
-        event = next(e for e in journal.events
-                     if e["type"] == "shm_handoff")
-        assert event["slot_bytes"] <= 1 << 20
+    The class keeps the name it had when pooled rows travelled through
+    a shared-memory ring, so these two tests keep their ids; the pipe
+    transport that replaced the ring is covered by :class:`TestTransport`.
+    """
 
     def test_canonical_journal_invariant_across_transports(self):
         def run(**kwargs):
@@ -168,9 +95,7 @@ class TestShmHandoff:
                                  perf=perf, **kwargs))
             return canonical_events(journal.events)
 
-        serial = run(n_jobs=1)
-        assert serial == run(n_jobs=2, handoff="shm")
-        assert serial == run(n_jobs=2, handoff="pickle")
+        assert run(n_jobs=1) == run(n_jobs=2)
 
     def test_serial_fallback_warns_when_fork_unavailable(self, monkeypatch):
         monkeypatch.setattr("repro.parallel._pool_context", lambda: None)
@@ -188,12 +113,71 @@ class TestShmHandoff:
                    if e["type"] == "job_complete") == len(jobs)
 
 
+class TestTransport:
+    """Pooled rows arrive intact; failures surface once, at any --jobs."""
+
+    def test_rows_are_writable_arrays_of_their_own(self):
+        blocks = list(run_series_jobs(_jobs(3), SCENARIO, NEP_RECIPE,
+                                      n_jobs=2))
+        for block in blocks:
+            for rows in (block.cpu_rows, block.bw_rows, block.private_rows):
+                assert rows.dtype == np.float32 and rows.flags.writeable
+                assert rows.flags.c_contiguous
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_non_transient_error_fails_on_first_attempt(self, monkeypatch,
+                                                        n_jobs):
+        def broken(*_args, **_kwargs):
+            raise ValueError("render bug")
+
+        monkeypatch.setattr("repro.parallel.render_series_job", broken)
+        journal = RunJournal(None)
+        perf = PerfRegistry(journal=journal)
+        with pytest.raises(ValueError, match="render bug"):
+            list(run_series_jobs(_jobs(4), SCENARIO, NEP_RECIPE,
+                                 n_jobs=n_jobs, perf=perf))
+        assert not [e for e in journal.events if e["type"] == "job_retry"]
+
+    def test_unpicklable_worker_error_becomes_parallel_error(self,
+                                                             monkeypatch):
+        def broken(*_args, **_kwargs):
+            raise _TwoArgError("render", "bug")
+
+        monkeypatch.setattr("repro.parallel.render_series_job", broken)
+        with pytest.raises(ParallelError, match="_TwoArgError"):
+            list(run_series_jobs(_jobs(4), SCENARIO, NEP_RECIPE, n_jobs=2))
+
+    def test_zip_consumed_pool_leaves_no_children(self):
+        """The generators zip() over the block iterator and never resume
+        it after the last block, so the workers must already be gone
+        while the caller still holds the iterator."""
+        import multiprocessing
+
+        jobs = _jobs(4)
+        blocks = run_series_jobs(jobs, SCENARIO, NEP_RECIPE, n_jobs=2)
+        pairs = list(zip(jobs, blocks))
+        assert len(pairs) == len(jobs)
+        assert multiprocessing.active_children() == []
+
+
+class _TwoArgError(Exception):
+    """An exception whose pickle cannot be loaded back (two-arg init)."""
+
+    def __init__(self, first, second):
+        super().__init__(f"{first} {second}")
+
+
 def _square(x):
     return x * x
 
 
 def _explode(x):
     raise ValueError(f"bad cell {x}")
+
+
+def _nested_series(n_jobs):
+    blocks = run_series_jobs(_jobs(4), SCENARIO, NEP_RECIPE, n_jobs=n_jobs)
+    return _block_rows(blocks)
 
 
 def _die_silently(_):
@@ -278,3 +262,33 @@ class TestTaskFarm:
                 lambda: farm.next_outcome() if farm.outstanding else None,
                 None))
         assert done == 6
+
+    def test_nested_series_pool_in_a_farm_task(self):
+        """A farm worker is not daemonic, so its task may fork a pool."""
+        from repro.parallel import TaskFarm
+        with TaskFarm(2) as farm:
+            farm.submit("nested", _nested_series, 2)
+            farm.submit("plain", _square, 5)
+            outcomes = {}
+            while farm.outstanding:
+                outcome = farm.next_outcome()
+                outcomes[outcome.task_id] = outcome
+        assert outcomes["nested"].ok, outcomes["nested"].error
+        assert outcomes["nested"].value == _nested_series(1)
+        assert outcomes["plain"].value == 25
+
+    def test_in_order_yields_in_submission_order(self):
+        from repro.parallel import TaskFarm
+        import multiprocessing
+
+        tasks = [(f"t{i}", _square, i) for i in range(7)]
+        farm = TaskFarm(2)
+        assert list(farm.in_order(tasks)) == [i * i for i in range(7)]
+        assert multiprocessing.active_children() == []
+
+    def test_in_order_names_the_failed_task(self):
+        from repro.parallel import TaskFarm
+        farm = TaskFarm(2)
+        with pytest.raises(ParallelError, match="t1 failed.*bad cell 1"):
+            list(farm.in_order([("t0", _square, 0), ("t1", _explode, 1)]))
+        farm.close()
