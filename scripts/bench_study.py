@@ -1,11 +1,11 @@
 #!/usr/bin/env python
 """Benchmark the study's hot phases and track them in BENCH_study.json.
 
-Runs the four expensive :class:`repro.EdgeStudy` phases (NEP workload,
-Azure workload, latency campaign, throughput campaign) at a chosen scale,
-taking the best of ``--repeat`` runs per phase, and records the result in
-a JSON ledger keyed by scale.  The ledger is committed so the perf
-trajectory of the simulator is tracked from PR to PR.
+Runs every cached :class:`repro.EdgeStudy` phase (the entries of
+``repro.study.PHASES`` that have a cache kind) at a chosen scale,
+taking the best of ``--repeat`` runs per phase, and records the result
+in a JSON ledger keyed by scale.  The ledger is committed so the
+perf trajectory of the simulator is tracked from change to change.
 
 Usage::
 
@@ -61,9 +61,11 @@ from unittest import mock
 
 import numpy as np
 
-#: The phases tracked per run, in execution order.
-PHASES = ("workload_nep", "workload_azure", "campaign_latency",
-          "campaign_throughput", "qoe_sessions")
+from repro.study import PHASES as STUDY_PHASES, RESUMABLE_PHASES
+
+#: The phases tracked per run, in execution order: every study phase
+#: whose result lands in the artifact cache.
+PHASES = RESUMABLE_PHASES
 
 #: Optional per-scale ledger sections measured by dedicated flags.  A
 #: run that does not re-measure one keeps the previously committed
@@ -107,11 +109,9 @@ def run_once(scale: str, seed: int | None, jobs: int = 1,
     with RunJournal(None) as journal:
         study = EdgeStudy(build_scenario(scale, seed, overrides), jobs=jobs,
                           cache=cache, journal=journal, streaming=streaming)
-        study.nep
-        study.azure
-        study.latency_results
-        study.throughput_results
-        study.qoe_sessions
+        for phase in STUDY_PHASES:
+            if phase.name in PHASES:
+                getattr(study, phase.attr)
         journal.close(counters=study.perf.counters or None)
     result = study.perf.as_dict()
     result["journal_phases"] = phase_breakdown(journal.events)

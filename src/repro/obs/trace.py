@@ -350,9 +350,11 @@ def diff_journals(events_a: list[dict], events_b: list[dict],
     structural = False
     lines = [f"diff: {label_a} -> {label_b}"]
     run_a, run_b = a.run, b.run
+    # code_version is provenance: printed, but two builds that behave
+    # alike are no behavioural difference.
     for field_name in ("seed", "fault_profile", "code_version"):
         if run_a.get(field_name) != run_b.get(field_name):
-            structural = True
+            structural = structural or field_name != "code_version"
             lines.append(f"  {field_name}: {run_a.get(field_name)} -> "
                          f"{run_b.get(field_name)}")
     if a.status != b.status:

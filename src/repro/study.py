@@ -6,61 +6,191 @@ campaigns, generate the workload traces — and caches each piece so
 examples and benchmarks can share one simulation instead of regenerating
 it per figure.
 
-Every expensive phase is tracked twice: a :class:`~repro.perf.PerfRegistry`
-span for timings and a :class:`~repro.phases.PhaseLedger` entry for the
-outcome.  A phase that raises is recorded as failed in the ledger and the
-exception propagates; :meth:`EdgeStudy.try_phase` gives callers the
-graceful-degradation variant (``None`` on failure, other phases still
-runnable).
+The expensive steps are a table: :data:`PHASES` declares each phase once
+(its name, cache kind, prerequisites and counter) and one runner,
+:meth:`EdgeStudy._run`, gives every phase the same treatment — a cache
+lookup, a :class:`~repro.perf.PerfRegistry` span for timings, a
+:class:`~repro.phases.PhaseLedger` entry for the outcome, a cache store
+and a counter.  A phase that raises is recorded as failed in the ledger,
+is not cached, and the exception propagates; :meth:`EdgeStudy.try_phase`
+gives callers the graceful-degradation variant (``None`` on failure,
+other phases still runnable).
 """
 
 from __future__ import annotations
 
+import contextlib
 import tempfile
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import Callable
 
 from .billing.cloud import alicloud_billing, huawei_billing
 from .billing.nep import CityPriceBook, NepBilling
 from .cache import ArtifactCache
-from .config import DEFAULT_SCENARIO, FAULT_PROFILES, Scenario
-from .core.availability_analysis import (
-    AvailabilityReport,
-    run_availability_study,
-)
+from .config import DEFAULT_SCENARIO, Scenario
+from .core.availability_analysis import run_availability_study
 from .core.cost_analysis import cloud_regions_from_platform
 from .core.latency_analysis import PerUserLatency, per_user_latency
 from .errors import ConfigurationError, ReproError
-from .faults.failover import FailoverReport, simulate_failover
+from .faults.failover import simulate_failover
 from .faults.schedule import FaultSchedule, build_fault_schedule
-from .live import LiveResult, run_live
-from .measurement.campaign import CampaignResults, CrowdCampaign, Participant
+from .live import run_live
+from .measurement.campaign import CrowdCampaign, Participant
 from .measurement.qoe.testbed import QoETestbed
 from .obs import RunJournal
 from .parallel import resolve_jobs
 from .perf import PerfRegistry
 from .phases import PhaseLedger
 from .platform.cloud import build_cloud_platform
-from .platform.cluster import Platform
-from .qoe import QoeSessionsResult, run_qoe_sessions
+from .qoe import run_qoe_sessions
 from .workload.azure import generate_azure_workload
-from .workload.generator import GeneratedWorkload, generate_nep_workload
+from .workload.generator import generate_nep_workload
 from .workload.streaming import WorkloadSink, resolve_streaming
 
 
+@dataclass(frozen=True)
+class Phase:
+    """One expensive study phase, declared once and run by one runner.
+
+    Builders receive the study and look every library function up as a
+    module global at call time, so patching ``repro.study.<function>``
+    (as profilers do) reaches the phase.
+    """
+
+    #: The :class:`EdgeStudy` attribute that serves the phase's value.
+    attr: str
+    #: Shared by the perf span, the ledger entry and the cache artifact.
+    name: str
+    #: ``build(study)``; a workload phase's builder also takes the
+    #: :class:`~repro.workload.streaming.WorkloadSink` (or ``None``).
+    build: Callable[..., object]
+    #: Artifact-cache kind: ``"workload"`` (looked up inside the span,
+    #: series memory-mapped), ``"object"`` (peeked before the span, so a
+    #: warm run never builds the prerequisites) or ``None`` (never cached).
+    cache: str | None = None
+    #: Attributes resolved before the span opens unless the cache peek
+    #: hit, so the span times the phase's own work only.
+    needs: tuple[str, ...] = ()
+    #: ``(counter, amount(value))`` bumped once the phase succeeded.
+    counter: tuple[str, Callable[[object], int]] | None = None
+    #: When false for the scenario, the phase is ``None`` and untracked.
+    enabled: Callable[[Scenario], bool] | None = None
+    #: Journal ``value.summary()`` as an event named after the phase.
+    summary_event: bool = False
+    #: Docstring of the attribute.
+    doc: str = ""
+
+
+def _require_faults(study: "EdgeStudy") -> FaultSchedule:
+    faults = study.faults
+    if faults is None:
+        raise ConfigurationError(
+            "fault injection is off; rerun with --faults paper or "
+            "harsh (Scenario.fault_profile)"
+        )
+    return faults
+
+
+def _build_failover(study: "EdgeStudy"):
+    faults = _require_faults(study)
+    return simulate_failover(study.nep.platform, faults)
+
+
+def _build_availability(study: "EdgeStudy"):
+    faults = _require_faults(study)
+    return run_availability_study(faults, study.latency_results,
+                                  study.throughput_results, study.failover)
+
+
+def _build_qoe_sessions(study: "EdgeStudy"):
+    # Streaming spills per-session rows to a throwaway shard directory.
+    spill = (tempfile.TemporaryDirectory(prefix="repro-qoe-spill-")
+             if study.streaming else contextlib.nullcontext())
+    with spill as spill_root:
+        return run_qoe_sessions(study.scenario, jobs=study.jobs,
+                                journal=study.journal, spill_root=spill_root)
+
+
+#: Every expensive phase, in the study's natural execution order.
+PHASES: tuple[Phase, ...] = (
+    Phase(
+        "nep", "workload_nep", cache="workload",
+        build=lambda study, sink: generate_nep_workload(
+            study.scenario, jobs=study.jobs, perf=study.perf, sink=sink),
+        counter=("nep_vms", lambda workload: len(workload.platform.vms)),
+        doc="The NEP platform with placed VMs and its 3-month-style trace."),
+    Phase(
+        "azure", "workload_azure", cache="workload",
+        build=lambda study, sink: generate_azure_workload(
+            study.scenario, jobs=study.jobs, perf=study.perf, sink=sink),
+        counter=("azure_vms", lambda workload: len(workload.platform.vms)),
+        doc="The Azure-like cloud comparison dataset."),
+    Phase(
+        "alicloud", "platform_alicloud",
+        build=lambda study: build_cloud_platform(
+            study.scenario, name="AliCloud", servers_per_region=4),
+        doc="The AliCloud-like performance baseline (a minimal fleet: "
+            "only its region locations matter)."),
+    Phase(
+        "faults", "fault_schedule",
+        build=lambda study: build_fault_schedule(
+            study.scenario, study.nep.platform, study.alicloud),
+        enabled=lambda scenario: scenario.fault_profile != "off",
+        summary_event=True,
+        doc="The run's deterministic fault weather; ``None`` when off."),
+    Phase(
+        "failover", "failover", build=_build_failover,
+        doc="Server crashes replayed through evacuation/live migration.\n\n"
+            "Raises:\n    ConfigurationError: when fault injection is off."),
+    Phase(
+        "availability", "availability", build=_build_availability,
+        doc="The availability/SLO analysis of this run's fault weather.\n\n"
+            "Raises:\n    ConfigurationError: when fault injection is off."),
+    Phase(
+        "latency_results", "campaign_latency", cache="object",
+        build=lambda study: study.campaign.run_latency(study.participants),
+        needs=("campaign", "participants"),
+        counter=("latency_observations",
+                 lambda results: len(results.latency)),
+        doc="The crowd campaign's latency probes (Figures 2-4, Table 2)."),
+    Phase(
+        "throughput_results", "campaign_throughput", cache="object",
+        build=lambda study: study.campaign.run_throughput(
+            study.participants),
+        needs=("campaign", "participants"),
+        counter=("throughput_observations",
+                 lambda results: len(results.throughput)),
+        doc="The crowd campaign's throughput probes (Figures 5-6)."),
+    Phase(
+        "qoe_sessions", "qoe_sessions", cache="object",
+        build=_build_qoe_sessions,
+        counter=("qoe_sessions_simulated",
+                 lambda result: result.sessions * len(result.arms)),
+        doc="Edge-vs-cloud session QoE distributions (beyond Figure 7)."),
+    Phase(
+        "live", "live", cache="object",
+        build=lambda study: run_live(study.scenario, jobs=study.jobs,
+                                     journal=study.journal),
+        counter=("live_ticks", lambda result: result.ticks),
+        doc="Event-driven live-platform run (beyond the paper; "
+            "repro.live)."),
+)
+
 #: Phases whose results land in the artifact cache and can therefore be
-#: skipped by a resumed run.  Order matches the natural execution order.
-RESUMABLE_PHASES = ("workload_nep", "workload_azure",
-                    "campaign_latency", "campaign_throughput",
-                    "qoe_sessions", "live")
+#: skipped by a resumed run, in execution order.
+RESUMABLE_PHASES = tuple(phase.name for phase in PHASES if phase.cache)
 
 
 class EdgeStudy:
     """Lazily-computed bundle of every dataset the paper's figures need.
 
-    Each expensive phase runs inside a :class:`~repro.perf.PerfRegistry`
-    span, so ``study.perf.report()`` (or the CLI's ``--perf`` flag) shows
-    where a run spent its time; ``study.phases.report()`` shows which
-    phases ran and whether they failed.
+    Each phase of :data:`PHASES` is an attribute computed on first
+    access and cached on the instance.  It runs inside a
+    :class:`~repro.perf.PerfRegistry` span, so ``study.perf.report()``
+    (or the CLI's ``--perf`` flag) shows where a run spent its time;
+    ``study.phases.report()`` shows which phases ran and whether they
+    failed.
 
     ``resume=True`` declares that this run continues an earlier (killed
     or crashed) run of the same scenario: it requires an artifact cache
@@ -123,69 +253,73 @@ class EdgeStudy:
         pending = [name for name in RESUMABLE_PHASES if name not in cached]
         return {"cached": cached, "pending": pending}
 
-    # ---- artifact cache plumbing ----------------------------------------
+    # ---- the phase runner ------------------------------------------------
 
-    def _cached_workload(self, name: str, builder):
-        """Load a generated workload from the cache, or build and store it.
+    def _cache_get(self, phase: Phase):
+        """The phase's cached value (bumping ``cache_hit:<name>``), or None."""
+        get = (self.cache.get_workload if phase.cache == "workload"
+               else self.cache.get_object)
+        value = get(phase.name, self.scenario)
+        if value is not None:
+            self.perf.count(f"cache_hit:{phase.name}")
+        return value
 
-        A hit bumps the ``cache_hit:<name>`` counter and skips
-        generation entirely (the returned series are memory-mapped from
-        the cache entry); a miss builds with this study's ``jobs``
-        setting and stores the result for the next invocation.
+    def _build(self, phase: Phase):
+        """Build the phase's value and store it in the cache, if any.
 
-        With :attr:`streaming` on, rendered series rows flow through a
-        :class:`~repro.workload.streaming.WorkloadSink` into sharded
-        on-disk storage as they are produced — directly into the cache
-        entry when a cache is configured (no separate store step), or
-        into a self-cleaning spill directory otherwise.  Either way the
-        returned dataset serves its series from memory maps and the
-        parent's working set stays bounded.
+        With :attr:`streaming` on, a workload phase's rendered series
+        rows flow through a :class:`~repro.workload.streaming.WorkloadSink`
+        into sharded on-disk storage as they are produced — directly into
+        the cache entry when a cache is configured (no separate store
+        step), or into a self-cleaning spill directory otherwise.  Either
+        way the returned dataset serves its series from memory maps and
+        the parent's working set stays bounded.
         """
-        if self.cache is not None:
-            cached = self.cache.get_workload(name, self.scenario)
-            if cached is not None:
-                self.perf.count(f"cache_hit:{name}")
-                return cached
         sink = None
-        if self.streaming:
-            if self.cache is not None:
-                sink = WorkloadSink.for_cache(self.cache, name,
-                                              self.scenario)
-            else:
-                sink = WorkloadSink.spill(journal=self.journal)
+        if phase.cache == "workload" and self.streaming:
+            sink = (WorkloadSink.for_cache(self.cache, phase.name,
+                                           self.scenario)
+                    if self.cache is not None
+                    else WorkloadSink.spill(journal=self.journal))
         try:
-            workload = builder(self.scenario, jobs=self.jobs,
-                               perf=self.perf, sink=sink)
+            value = (phase.build(self, sink) if phase.cache == "workload"
+                     else phase.build(self))
         except BaseException:
-            # The generators abort the sink on mid-stream failures, but
-            # an exception *before* the series stage (platform build,
-            # placement) would otherwise leave the spill/staging dir
+            # The generators abort the sink on mid-stream failures, but an
+            # exception *before* the series stage (platform build,
+            # placement) would otherwise leave the spill or staging dir
             # behind until interpreter exit.  abort() is idempotent.
             if sink is not None:
                 sink.abort()
             raise
-        if self.cache is not None and sink is None:
-            with self.perf.span(f"cache_store:{name}"):
-                self.cache.put_workload(name, self.scenario, workload)
-        return workload
+        if phase.cache and self.cache is not None and sink is None:
+            put = (self.cache.put_workload if phase.cache == "workload"
+                   else self.cache.put_object)
+            with self.perf.span(f"cache_store:{phase.name}"):
+                put(phase.name, self.scenario, value)
+        return value
 
-    def _campaign_cache_peek(self, name: str):
-        """A cached phase object (campaign results, session QoE), or ``None``.
-
-        Peeked *before* touching the phase's dependencies so a warm run
-        never builds the platforms just to replay recorded results.
-        """
-        if self.cache is None:
+    def _run(self, phase: Phase):
+        """Compute one phase: cache, span, ledger, store, counter."""
+        if phase.enabled is not None and not phase.enabled(self.scenario):
             return None
-        cached = self.cache.get_object(name, self.scenario)
-        if cached is not None:
-            self.perf.count(f"cache_hit:{name}")
-        return cached
-
-    def _campaign_cache_store(self, name: str, results: object) -> None:
-        if self.cache is not None:
-            with self.perf.span(f"cache_store:{name}"):
-                self.cache.put_object(name, self.scenario, results)
+        cached = None
+        if phase.cache == "object" and self.cache is not None:
+            cached = self._cache_get(phase)
+        if cached is None:
+            for attr in phase.needs:
+                getattr(self, attr)
+        with self.perf.span(phase.name), self.phases.track(phase.name):
+            if phase.cache == "workload" and self.cache is not None:
+                cached = self._cache_get(phase)
+            value = cached if cached is not None else self._build(phase)
+        if phase.counter is not None:
+            counter, amount = phase.counter
+            self.perf.count(counter, amount(value))
+        if phase.summary_event and self.journal is not None \
+                and value is not None:
+            self.journal.emit(phase.name, **value.summary())
+        return value
 
     def try_phase(self, name: str):
         """Compute phase ``name``, degrading gracefully on failure.
@@ -200,87 +334,7 @@ class EdgeStudy:
         except ReproError:
             return None
 
-    # ---- platforms and workloads -----------------------------------------
-
-    @cached_property
-    def nep(self) -> GeneratedWorkload:
-        """The NEP platform with placed VMs and its 3-month-style trace."""
-        with self.perf.span("workload_nep"), self.phases.track("workload_nep"):
-            workload = self._cached_workload("workload_nep",
-                                             generate_nep_workload)
-        self.perf.count("nep_vms", len(workload.platform.vms))
-        return workload
-
-    @cached_property
-    def azure(self) -> GeneratedWorkload:
-        """The Azure-like cloud comparison dataset."""
-        with self.perf.span("workload_azure"), \
-                self.phases.track("workload_azure"):
-            workload = self._cached_workload("workload_azure",
-                                             generate_azure_workload)
-        self.perf.count("azure_vms", len(workload.platform.vms))
-        return workload
-
-    @cached_property
-    def alicloud(self) -> Platform:
-        """The AliCloud-like platform used as the performance baseline.
-
-        Only its region locations matter for the campaign, so the server
-        fleet is kept minimal.
-        """
-        with self.perf.span("platform_alicloud"), \
-                self.phases.track("platform_alicloud"):
-            return build_cloud_platform(self.scenario, name="AliCloud",
-                                        servers_per_region=4)
-
-    # ---- fault injection ---------------------------------------------------
-
-    @cached_property
-    def faults(self) -> FaultSchedule | None:
-        """The run's deterministic fault weather; ``None`` when off."""
-        if self.scenario.fault_profile == "off":
-            return None
-        with self.perf.span("fault_schedule"), \
-                self.phases.track("fault_schedule"):
-            schedule = build_fault_schedule(self.scenario, self.nep.platform,
-                                            self.alicloud)
-        if self.journal is not None and schedule is not None:
-            self.journal.emit("fault_schedule", **schedule.summary())
-        return schedule
-
-    @cached_property
-    def failover(self) -> FailoverReport:
-        """Server crashes replayed through evacuation/live migration.
-
-        Raises:
-            ConfigurationError: when fault injection is off.
-        """
-        with self.perf.span("failover"), self.phases.track("failover"):
-            if self.faults is None:
-                raise ConfigurationError(
-                    "fault injection is off; rerun with --faults paper or "
-                    "harsh (Scenario.fault_profile)"
-                )
-            return simulate_failover(self.nep.platform, self.faults)
-
-    @cached_property
-    def availability(self) -> AvailabilityReport:
-        """The availability/SLO analysis of this run's fault weather.
-
-        Raises:
-            ConfigurationError: when fault injection is off.
-        """
-        with self.perf.span("availability"), self.phases.track("availability"):
-            if self.faults is None:
-                raise ConfigurationError(
-                    "fault injection is off; rerun with --faults paper or "
-                    "harsh (Scenario.fault_profile)"
-                )
-            return run_availability_study(
-                self.faults, self.latency_results, self.throughput_results,
-                self.failover)
-
-    # ---- campaigns ---------------------------------------------------------
+    # ---- campaign panel ----------------------------------------------------
 
     @cached_property
     def campaign(self) -> CrowdCampaign:
@@ -292,36 +346,6 @@ class EdgeStudy:
         return self.campaign.recruit()
 
     @cached_property
-    def latency_results(self) -> CampaignResults:
-        cached = self._campaign_cache_peek("campaign_latency")
-        if cached is None:
-            campaign, participants = self.campaign, self.participants
-        with self.perf.span("campaign_latency"), \
-                self.phases.track("campaign_latency"):
-            if cached is not None:
-                results = cached
-            else:
-                results = campaign.run_latency(participants)
-                self._campaign_cache_store("campaign_latency", results)
-        self.perf.count("latency_observations", len(results.latency))
-        return results
-
-    @cached_property
-    def throughput_results(self) -> CampaignResults:
-        cached = self._campaign_cache_peek("campaign_throughput")
-        if cached is None:
-            campaign, participants = self.campaign, self.participants
-        with self.perf.span("campaign_throughput"), \
-                self.phases.track("campaign_throughput"):
-            if cached is not None:
-                results = cached
-            else:
-                results = campaign.run_throughput(participants)
-                self._campaign_cache_store("campaign_throughput", results)
-        self.perf.count("throughput_observations", len(results.throughput))
-        return results
-
-    @cached_property
     def per_user(self) -> list[PerUserLatency]:
         """Per-user latency aggregates feeding Figures 2/3 and Table 2."""
         return per_user_latency(self.latency_results.latency)
@@ -331,62 +355,6 @@ class EdgeStudy:
     @cached_property
     def qoe_testbed(self) -> QoETestbed:
         return QoETestbed(self.scenario.random.stream("qoe-testbed"))
-
-    @cached_property
-    def qoe_sessions(self) -> QoeSessionsResult:
-        """Edge-vs-cloud session QoE distributions (beyond Figure 7).
-
-        Runs the vectorized ABR engine over the analytic CDN model for
-        both arms, chunked through a task farm and folded into streaming
-        sketches.  With :attr:`streaming` on, per-session metric rows
-        additionally spill to shard files in a throwaway directory
-        (deleted once aggregated) so even the inspection copy never
-        accumulates in RSS.
-        """
-        cached = self._campaign_cache_peek("qoe_sessions")
-        with self.perf.span("qoe_sessions"), \
-                self.phases.track("qoe_sessions"):
-            if cached is not None:
-                result = cached
-            else:
-                if self.streaming:
-                    with tempfile.TemporaryDirectory(
-                            prefix="repro-qoe-spill-") as spill:
-                        result = run_qoe_sessions(
-                            self.scenario, jobs=self.jobs,
-                            journal=self.journal, spill_root=spill)
-                else:
-                    result = run_qoe_sessions(
-                        self.scenario, jobs=self.jobs,
-                        journal=self.journal)
-                self._campaign_cache_store("qoe_sessions", result)
-        self.perf.count("qoe_sessions_simulated",
-                        result.sessions * len(result.arms))
-        return result
-
-    # ---- live platform engine --------------------------------------------------
-
-    @cached_property
-    def live(self) -> LiveResult:
-        """Event-driven live-platform run (beyond the paper; repro.live).
-
-        Advances the whole NEP fleet tick by tick — VM arrivals,
-        departures, evacuation off faulted servers, autoscaling — as
-        vectorized array ops, with the scenario's fault profile
-        interleaved as down/up events.  Sequential by construction, so
-        the result ignores ``jobs`` and is bit-identical across any
-        ``--jobs`` setting.
-        """
-        cached = self._campaign_cache_peek("live")
-        with self.perf.span("live"), self.phases.track("live"):
-            if cached is not None:
-                result = cached
-            else:
-                result = run_live(self.scenario, jobs=self.jobs,
-                                  journal=self.journal)
-                self._campaign_cache_store("live", result)
-        self.perf.count("live_ticks", result.ticks)
-        return result
 
     # ---- billing ---------------------------------------------------------------
 
@@ -411,8 +379,32 @@ class EdgeStudy:
         return cloud_regions_from_platform(self.alicloud)
 
 
+def _phase_attribute(phase: Phase) -> cached_property:
+    def compute(study: EdgeStudy):
+        return study._run(phase)
+
+    compute.__name__ = compute.__qualname__ = phase.attr
+    compute.__doc__ = phase.doc
+    attribute = cached_property(compute)
+    attribute.__set_name__(EdgeStudy, phase.attr)
+    return attribute
+
+
+for _phase in PHASES:
+    setattr(EdgeStudy, _phase.attr, _phase_attribute(_phase))
+del _phase
+
+
+#: The scenario constructor behind each named scale.
+_SCALE_SCENARIOS: dict[str, Callable[[], Scenario]] = {
+    "smoke": Scenario.smoke_scale,
+    "default": Scenario,
+    "paper": Scenario.paper_scale,
+    "city": Scenario.city_scale,
+}
+
 #: Scale names accepted by :func:`study_for` and the CLI's ``--scale``.
-SCALES = ("smoke", "default", "paper", "city")
+SCALES = tuple(_SCALE_SCENARIOS)
 
 
 def scenario_for(scale: str, seed: int | None = None,
@@ -424,20 +416,16 @@ def scenario_for(scale: str, seed: int | None = None,
     ``"paper"``, ``"harsh"``); ``None`` keeps the scale's default.
     ``overrides`` replaces arbitrary scenario fields on top of the
     scale's values — the hook sweep cells use for per-cell knobs.
+
+    Raises:
+        ConfigurationError: for an unknown scale, fault profile or
+            override.
     """
-    if seed is None:
-        seed = DEFAULT_SCENARIO.seed
-    if scale == "default":
-        scenario = Scenario(seed=seed)
-    elif scale == "smoke":
-        scenario = Scenario.smoke_scale().with_overrides(seed=seed)
-    elif scale == "paper":
-        scenario = Scenario.paper_scale().with_overrides(seed=seed)
-    elif scale == "city":
-        scenario = Scenario.city_scale().with_overrides(seed=seed)
-    else:
+    if scale not in _SCALE_SCENARIOS:
         raise ConfigurationError(
             f"unknown scale {scale!r}, expected one of {SCALES}")
+    scenario = _SCALE_SCENARIOS[scale]().with_overrides(
+        seed=DEFAULT_SCENARIO.seed if seed is None else seed)
     if faults is not None:
         scenario = scenario.with_overrides(fault_profile=faults)
     if overrides:
@@ -468,19 +456,14 @@ def study_for(scale: str, seed: int | None = None,
     disables caching), and ``streaming`` the out-of-core workload mode
     (``"auto"``/``"on"``/``"off"``) — all execution knobs, so two calls
     differing only there still share scenario *results* bit-for-bit.
+
+    Raises:
+        ConfigurationError: for an unknown scale or fault profile.
     """
-    if scale not in SCALES:
-        raise ConfigurationError(
-            f"unknown scale {scale!r}, expected one of {SCALES}")
-    resolved_faults = "off" if faults is None else faults
-    if resolved_faults not in FAULT_PROFILES:
-        raise ConfigurationError(
-            f"unknown fault profile {resolved_faults!r}, expected one of "
-            f"{FAULT_PROFILES}")
     return _study_for(scale,
                       seed if seed is not None else DEFAULT_SCENARIO.seed,
-                      resolved_faults, resolve_jobs(jobs), cache_dir,
-                      streaming)
+                      "off" if faults is None else faults,
+                      resolve_jobs(jobs), cache_dir, streaming)
 
 
 def default_study(seed: int | None = None) -> EdgeStudy:

@@ -12,11 +12,10 @@ from .azure import generate_azure_workload
 from .bandwidth import (
     derive_private_series,
     derive_private_series_batch,
-    generate_bw_series,
     generate_bw_series_batch,
     peak_to_mean_ratio,
 )
-from .cpu import generate_cpu_series, generate_cpu_series_batch
+from .cpu import generate_cpu_series_batch
 from .generator import GeneratedWorkload, generate_nep_workload
 from .series import (
     AZURE_RECIPE,
@@ -66,9 +65,7 @@ __all__ = [
     "derive_private_series",
     "derive_private_series_batch",
     "generate_azure_workload",
-    "generate_bw_series",
     "generate_bw_series_batch",
-    "generate_cpu_series",
     "generate_cpu_series_batch",
     "generate_nep_workload",
     "pattern",

@@ -45,7 +45,7 @@ class TestBenchCache:
         stats = bench_mod.bench_cache("smoke", None, jobs=1,
                                       cache_dir=tmp_path / "cache")
         cold, warm = stats["phases"]["cold"], stats["phases"]["warm"]
-        # cold/warm rows stay phase-aligned: same keys, all four phases
+        # cold/warm rows stay phase-aligned: same keys, every tracked phase
         assert set(cold) == set(warm) == set(bench_mod.PHASES)
         for phase in bench_mod.PHASES:
             assert cold[phase]["cached"] is False

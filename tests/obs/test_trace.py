@@ -157,3 +157,22 @@ class TestRenderers:
         events = sample_events()
         text = diff_journals(events, events, "a", "b")
         assert "a -> b" in text
+
+    def test_code_version_change_is_not_behavioural(self):
+        # code_version is provenance: two builds whose runs behave alike
+        # differ in it, and the diff names it without counting it.
+        events = sample_events()
+        rebuilt = [dict(event) for event in events]
+        assert rebuilt[0]["type"] == "run_start"
+        rebuilt[0]["code_version"] = "f" * 16
+        text = diff_journals(events, rebuilt, "a", "b")
+        assert (f"code_version: {events[0]['code_version']} -> "
+                f"{'f' * 16}") in text
+        assert text.endswith("result: no behavioural differences")
+
+    def test_seed_change_is_behavioural(self):
+        events = sample_events()
+        reseeded = [dict(event) for event in events]
+        reseeded[0]["seed"] = events[0]["seed"] + 1
+        text = diff_journals(events, reseeded, "a", "b")
+        assert text.endswith("result: behavioural differences found")

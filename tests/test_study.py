@@ -1,9 +1,13 @@
 """Tests for the EdgeStudy facade and its caching behaviour."""
 
+import pickle
+
+import numpy as np
 import pytest
 
 from repro import EdgeStudy, Scenario, smoke_study, study_for
 from repro.errors import ConfigurationError, ReproError
+from repro.study import PHASES
 
 
 class TestFacade:
@@ -103,6 +107,8 @@ class TestCityTier:
 
         with pytest.raises(ConfigurationError):
             scenario_for("continental")
+        with pytest.raises(ConfigurationError):
+            study_for("continental")
 
 
 class TestFaultWiring:
@@ -111,6 +117,11 @@ class TestFaultWiring:
         assert study.faults is None
 
     def test_fault_phases_refuse_when_off(self, study):
+        with pytest.raises(ConfigurationError):
+            study.failover
+        with pytest.raises(ConfigurationError):
+            study.availability
+        # A failed phase is never cached: asking again raises again.
         with pytest.raises(ConfigurationError):
             study.failover
         with pytest.raises(ConfigurationError):
@@ -187,6 +198,46 @@ class TestErrorHierarchy:
         except ReproError:
             caught = True
         assert caught
+
+
+def _result_bytes(value) -> bytes:
+    """Bytes equal exactly when two phase results are equal."""
+    dataset = getattr(value, "dataset", None)
+    if dataset is None:
+        return pickle.dumps(value)
+    parts = [pickle.dumps(dataset.vms)]
+    for series in (dataset.cpu_series, dataset.bw_series,
+                   dataset.bw_private_series):
+        parts.extend(np.asarray(series[vm_id]).tobytes()
+                     for vm_id in sorted(series))
+    return b"".join(parts)
+
+
+class TestPhaseTable:
+    """Every cached phase of the table: a cold miss, then a warm hit."""
+
+    @pytest.mark.parametrize(
+        "phase", [phase for phase in PHASES if phase.cache],
+        ids=lambda phase: phase.name)
+    def test_cached_phase_cold_then_warm(self, phase, tmp_path):
+        from repro import ArtifactCache
+
+        cache = ArtifactCache(tmp_path)
+        scenario = Scenario.smoke_scale().with_overrides(seed=909)
+        cold = EdgeStudy(scenario, cache=cache)
+        value = getattr(cold, phase.attr)
+        assert f"cache_hit:{phase.name}" not in cold.perf.counters
+        warm = EdgeStudy(scenario, cache=cache)
+        assert phase.name in warm.resume_status()["cached"]
+        assert _result_bytes(getattr(warm, phase.attr)) == \
+            _result_bytes(value)
+        assert warm.perf.counters[f"cache_hit:{phase.name}"] == 1
+
+    def test_attributes_and_names_are_unique(self):
+        # A repeated attribute would shadow a phase; a repeated name
+        # would share one cache artifact between two phases.
+        assert len({phase.attr for phase in PHASES}) == len(PHASES)
+        assert len({phase.name for phase in PHASES}) == len(PHASES)
 
 
 class TestResume:

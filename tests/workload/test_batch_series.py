@@ -8,10 +8,9 @@ from repro.workload.apps import NEP_PROFILES, profiles_by_category
 from repro.workload.bandwidth import (
     derive_private_series,
     derive_private_series_batch,
-    generate_bw_series,
     generate_bw_series_batch,
 )
-from repro.workload.cpu import generate_cpu_series, generate_cpu_series_batch
+from repro.workload.cpu import generate_cpu_series_batch
 from repro.workload.patterns import (
     ar1_noise_batch,
     regime_switching_levels,
@@ -78,9 +77,9 @@ class TestCpuBatch:
         assert series[1].mean() == pytest.approx(0.5, rel=0.25)
 
     def test_matches_scalar_distribution(self):
-        """Batch rows and scalar series agree in mean within tolerance."""
-        scalar = generate_cpu_series(PROFILE, 0.3, WEEK,
-                                     np.random.default_rng(21))
+        """Batch rows and a one-row batch agree in mean within tolerance."""
+        scalar = generate_cpu_series_batch(PROFILE, np.array([0.3]), WEEK,
+                                           np.random.default_rng(21))[0]
         batch = generate_cpu_series_batch(PROFILE, np.full(8, 0.3), WEEK,
                                           np.random.default_rng(22))
         assert batch.mean() == pytest.approx(scalar.mean(), rel=0.15)
@@ -106,8 +105,8 @@ class TestBandwidthBatch:
         assert series[1].mean() > series[0].mean() * 5
 
     def test_matches_scalar_distribution(self):
-        scalar = generate_bw_series(PROFILE, 20.0, WEEK,
-                                    np.random.default_rng(31))
+        scalar = generate_bw_series_batch(PROFILE, np.array([20.0]), WEEK,
+                                          np.random.default_rng(31))[0]
         batch = generate_bw_series_batch(PROFILE, np.full(8, 20.0), WEEK,
                                          np.random.default_rng(32))
         assert batch.mean() == pytest.approx(scalar.mean(), rel=0.2)
@@ -130,8 +129,8 @@ class TestBandwidthBatch:
         assert private.mean() < public.mean()
 
     def test_private_scalar_matches_batch_path(self):
-        public = generate_bw_series(PROFILE, 30.0, WEEK,
-                                    np.random.default_rng(41))
+        public = generate_bw_series_batch(PROFILE, np.array([30.0]), WEEK,
+                                          np.random.default_rng(41))[0]
         scalar = derive_private_series(public, np.random.default_rng(42))
         batch = derive_private_series_batch(public[None, :],
                                             np.random.default_rng(42))
