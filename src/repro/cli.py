@@ -23,8 +23,8 @@ from typing import Sequence
 from .cache import ArtifactCache, default_cache_dir
 from .config import ABR_POLICIES, AUTOSCALE_MODES, FAULT_PROFILES
 from .errors import ReproError
-from .obs import RunJournal, canonical_events, diff_journals, \
-    read_journal, render_show, render_summary
+from .obs import RunJournal, diff_journals, read_journal, render_show, \
+    render_summary
 from .reports import REPORTS
 from .resilience import CHAOS_PROFILES, chaos_spec, install
 from .study import SCALES, EdgeStudy, scenario_for, study_for
@@ -211,8 +211,9 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--streaming", choices=STREAMING_MODES,
                         default="auto",
                         help="stream workload series to sharded on-disk "
-                             "storage (default: auto = on at city-tier VM "
-                             "counts); results are bit-identical either way")
+                             "storage (default: auto = on when the in-core "
+                             "series would exceed half the available "
+                             "memory); results are bit-identical either way")
     parser.add_argument("--cache-dir", type=Path, default=None,
                         help="artifact cache root (default: "
                              "$REPRO_CACHE_DIR or ~/.cache/repro)")
@@ -555,13 +556,11 @@ def _command_trace(args: argparse.Namespace) -> int:
             print(f"warning: {path}: {warning}", file=sys.stderr)
     if args.action == "diff":
         (events_a, _), (events_b, _) = loaded
-        if not args.raw:
-            # Behavioural compare: volatile telemetry (retries, tick
-            # events, spills) differs between equivalent runs by design.
-            events_a = canonical_events(events_a)
-            events_b = canonical_events(events_b)
+        # Behavioural compare by default: volatile telemetry (retries,
+        # tick events, spills) differs between equivalent runs by design.
         print(diff_journals(events_a, events_b,
-                            str(args.journals[0]), str(args.journals[1])))
+                            str(args.journals[0]), str(args.journals[1]),
+                            canonical=not args.raw))
         return 0
     events, warnings = loaded[0]
     if args.action == "show":

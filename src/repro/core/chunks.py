@@ -36,8 +36,9 @@ import numpy as np
 
 from ..errors import TraceError
 
-#: Default window height for chunked passes.  Matches the sharded
-#: store's shard rows so a window is one zero-copy mmap slice there.
+#: Default window height for chunked passes.  A sharded store caps it
+#: at its shard rows (byte-sized, see :data:`repro.shards.SHARD_BYTES`),
+#: so there a window is at most one shard's zero-copy mmap slice.
 DEFAULT_CHUNK_ROWS = 1024
 
 

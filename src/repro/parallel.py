@@ -238,6 +238,9 @@ def _worker_main(index: int, tasks, results, heartbeats,
         except (pickle.PicklingError, TypeError, AttributeError) as exc:
             _send(results, (False, (False, ParallelError(
                 f"task result cannot be pickled: {_one_line(exc)}"))))
+        # The parent has the result now; free it before blocking for the
+        # next task, which the parent sends only after using this one.
+        del reply
 
 
 @dataclass
@@ -558,8 +561,10 @@ def _in_order(count: int, window: int, submit: Callable[[int], None],
             submit(submitted)
             submitted += 1
         while index not in buffered:
-            key, value = collect()
-            buffered[key] = value
+            # No local name may keep a result alive: once the consumer
+            # drops a yielded result it is freed, even while later
+            # results are still served from ``buffered``.
+            buffered.update([collect()])
         if index == count - 1:
             stop()
         yield buffered.pop(index)
@@ -671,6 +676,9 @@ def run_series_jobs(jobs_list: Sequence[SeriesJob], scenario: Scenario,
             _account_block(job, block.perf, perf, journal)
             block.perf = None
             yield block
+            # Unbind before waiting for the next block: a streaming
+            # caller has copied this one out, so its rows can go now.
+            del block
     finally:
         stop()
 

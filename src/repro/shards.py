@@ -6,14 +6,17 @@ process should materialise.  This module stores such a series as a
 directory of fixed-size ``.npy`` *shards* (one per contiguous VM-row
 range) plus a tiny ``shards.json`` index, and reads it back through
 :class:`ShardedSeriesMap`: a lazy, read-only ``Mapping[vm_id, row]``
-that memory-maps one shard at a time and can iterate bounded
+that keeps at most two shard memory maps open and can iterate bounded
 ``(vm_ids, rows)`` windows for the chunked analyses in
 :mod:`repro.core.chunks`.
 
 The writer half (:class:`ShardWriter`) is stream-oriented: callers
 append row blocks as they are rendered and each filled shard is flushed
 to disk immediately, so the writer's working set never exceeds one
-shard regardless of the total VM count.  Writers always target a
+shard regardless of the total VM count.  Shards are sized in bytes
+(:data:`SHARD_BYTES`), not rows, so that bound is the same for a
+5-minute and a 1-minute axis, and the writer drops its buffer the
+moment it is finalized or aborted.  Writers always target a
 staging directory (the :class:`~repro.cache.ArtifactCache` entry
 protocol or a spill directory), so crash atomicity is inherited from
 the entry-level atomic rename.
@@ -49,17 +52,24 @@ from .errors import TraceError
 from .resilience import RetryPolicy, failpoint
 from .resilience.retry import call_with_retry
 
-#: Rows per shard file.  At paper resolution (92 d / 1 min = 132480
-#: points) one shard is ~2 GiB of float32 at 4096 rows; the default
-#: keeps shards near 512 MiB so a windowed pass touches at most one
-#: shard's pages at a time.
-DEFAULT_SHARD_ROWS = 1024
+#: Payload budget of one shard file.  :func:`shard_rows_for` turns it
+#: into a row count per series kind: at paper resolution (92 d) that is
+#: 126 rows of 1-minute CPU readings and 633 rows of 5-minute bandwidth.
+#: The writer's buffer, and the window of a chunked pass, are one shard.
+SHARD_BYTES = 64 << 20
 
 #: Index file describing every sharded series kind inside a store dir.
 SHARD_INDEX_NAME = "shards.json"
 
 #: Row dtype of every shard (the dtype TraceDataset series use).
 SHARD_DTYPE = np.float32
+
+
+def shard_rows_for(points: int) -> int:
+    """Rows of ``points`` readings that fit one :data:`SHARD_BYTES` shard
+    (at least one)."""
+    row_bytes = int(points) * np.dtype(SHARD_DTYPE).itemsize
+    return max(1, SHARD_BYTES // row_bytes)
 
 
 @dataclass(frozen=True)
@@ -144,18 +154,24 @@ class ShardWriter:
     """Streams row blocks of one series kind into shard files.
 
     Rows are buffered into a single preallocated shard-sized float32
-    array; each time the buffer fills, one ``.npy`` shard lands on
-    disk.  :meth:`finalize` flushes the tail shard and returns the
-    resulting :class:`ShardLayout`.  The caller owns directory
-    atomicity (write into a staging dir, rename at the end).
+    array (``shard_rows`` rows; default :func:`shard_rows_for`
+    ``points``); each time the buffer fills, one ``.npy`` shard lands on
+    disk.  :meth:`finalize` flushes the tail shard, frees the buffer and
+    returns the resulting :class:`ShardLayout`; :meth:`discard` frees it
+    without flushing.  Neither waits for the cyclic garbage collector,
+    though an owner's flush hooks usually close a reference cycle back
+    to the writer.  The caller owns directory atomicity (write into a
+    staging dir, rename at the end).
     """
 
     def __init__(self, root: Path, kind: str, points: int,
-                 shard_rows: int = DEFAULT_SHARD_ROWS,
+                 shard_rows: int | None = None,
                  on_flush=None, retry: RetryPolicy | None = None,
                  on_retry=None) -> None:
         if points <= 0:
             raise TraceError(f"points must be positive, got {points}")
+        if shard_rows is None:
+            shard_rows = shard_rows_for(points)
         if shard_rows <= 0:
             raise TraceError(f"shard_rows must be positive, got {shard_rows}")
         self.root = Path(root)
@@ -173,8 +189,8 @@ class ShardWriter:
         self.on_retry = on_retry
         self._dir = self.root / kind
         self._dir.mkdir(parents=True, exist_ok=True)
-        self._buffer = np.empty((self.shard_rows, self.points),
-                                dtype=SHARD_DTYPE)
+        self._buffer: np.ndarray | None = np.empty(
+            (self.shard_rows, self.points), dtype=SHARD_DTYPE)
         self._fill = 0
         self._rows = 0
         self._shards = 0
@@ -238,13 +254,21 @@ class ShardWriter:
         self._fill = 0
 
     def finalize(self) -> ShardLayout:
-        """Flush the partial tail shard and seal the writer."""
+        """Flush the partial tail shard, free the buffer, seal the writer."""
         if not self._finalized:
             self._flush()
-            self._finalized = True
+            self.discard()
         return ShardLayout(kind=self.kind, rows=self._rows,
                            points=self.points, shard_rows=self.shard_rows,
                            checksums=tuple(self._checksums))
+
+    def discard(self) -> None:
+        """Seal the writer and free its buffer; unflushed rows are lost.
+
+        The abort path: the shard files are the owner's to remove.
+        """
+        self._finalized = True
+        self._buffer = None
 
 
 def _verify_shard(path: Path, expected_rows: int, points: int,
@@ -311,10 +335,15 @@ class ShardedSeriesMap(Mapping):
 
     ``__getitem__`` returns a float32 row *view* into the shard's
     memory map — the same contract as the monolithic mmap cache path —
-    while keeping at most a small number of shard maps open.
+    while keeping at most :data:`OPEN_MAPS` shard maps open (the most
+    recently used ones; a returned row keeps its own map alive).
     :meth:`iter_windows` is the bulk path: shard-bounded, zero-copy
     ``(vm_ids, rows)`` windows in trace order for the chunked analyses.
+    It opens each shard for the pass only and caches none of them.
     """
+
+    #: Shard maps kept open for random row reads.
+    OPEN_MAPS = 2
 
     def __init__(self, root: Path, layout: ShardLayout,
                  order: list[str], index: dict[str, int] | None = None,
@@ -348,17 +377,24 @@ class ShardedSeriesMap(Mapping):
                                     if shard < len(checksums) else None),
                           deep=deep)
 
+    def _open(self, index: int) -> np.ndarray:
+        data = np.load(shard_path(self.root, self.layout.kind, index),
+                       mmap_mode="r")
+        start, stop = self.layout.shard_extent(index)
+        if data.shape != (stop - start, self.layout.points):
+            raise TraceError(
+                f"{self.layout.kind} shard {index}: shape "
+                f"{data.shape} does not match layout")
+        return data
+
     def _shard(self, index: int) -> np.ndarray:
-        cached = self._maps.get(index)
+        cached = self._maps.pop(index, None)
         if cached is None:
-            cached = np.load(shard_path(self.root, self.layout.kind, index),
-                             mmap_mode="r")
-            start, stop = self.layout.shard_extent(index)
-            if cached.shape != (stop - start, self.layout.points):
-                raise TraceError(
-                    f"{self.layout.kind} shard {index}: shape "
-                    f"{cached.shape} does not match layout")
-            self._maps[index] = cached
+            cached = self._open(index)
+            while len(self._maps) >= self.OPEN_MAPS:
+                del self._maps[next(iter(self._maps))]
+        # Re-inserting keeps the dict in least-recently-used order.
+        self._maps[index] = cached
         return cached
 
     # ---- Mapping protocol ------------------------------------------------
@@ -393,7 +429,7 @@ class ShardedSeriesMap(Mapping):
             raise TraceError(f"window rows must be positive, got {rows}")
         for shard in range(self.layout.n_shards):
             start, stop = self.layout.shard_extent(shard)
-            data = self._shard(shard)
+            data = self._open(shard)
             for lo in range(0, stop - start, step):
                 hi = min(lo + step, stop - start)
                 yield (self._order[start + lo:start + hi], data[lo:hi])

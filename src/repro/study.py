@@ -214,8 +214,9 @@ class EdgeStudy:
         #: Optional run journal; every layer below reports through it.
         self.journal = journal
         #: Whether workload series stream to sharded disk storage instead
-        #: of living in-process.  ``"auto"`` switches on at city-tier VM
-        #: counts; an execution knob only — results are bit-identical.
+        #: of living in-process.  ``"auto"`` switches on when the in-core
+        #: series would exceed half the available memory; an execution
+        #: knob only — results are bit-identical.
         self.streaming = resolve_streaming(streaming, scenario)
         #: Whether this run continues an interrupted one via the cache.
         self.resume = resume

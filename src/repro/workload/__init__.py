@@ -10,7 +10,6 @@ from .apps import (
 )
 from .azure import generate_azure_workload
 from .bandwidth import (
-    derive_private_series,
     derive_private_series_batch,
     generate_bw_series_batch,
     peak_to_mean_ratio,
@@ -28,10 +27,8 @@ from .series import (
 )
 from .patterns import (
     PATTERNS,
-    ar1_noise,
     ar1_noise_batch,
     pattern,
-    regime_switching_level,
     regime_switching_levels,
     time_axis_minutes,
 )
@@ -60,9 +57,7 @@ __all__ = [
     "SeriesJob",
     "SeriesRecipe",
     "render_series_job",
-    "ar1_noise",
     "ar1_noise_batch",
-    "derive_private_series",
     "derive_private_series_batch",
     "generate_azure_workload",
     "generate_bw_series_batch",
@@ -71,7 +66,6 @@ __all__ = [
     "pattern",
     "peak_to_mean_ratio",
     "profiles_by_category",
-    "regime_switching_level",
     "regime_switching_levels",
     "sample_azure_spec",
     "sample_nep_spec",

@@ -135,6 +135,9 @@ def generate_azure_workload(scenario: Scenario, name: str = "Azure",
                     vm_ids.append(vm.vm_id)
             if sink is not None:
                 sink.consume(vm_ids, block)
+            # A streamed block is on its way to disk; unbind it so its
+            # rows are freed before the next block arrives.
+            del block
         if sink is not None:
             sink.finalize(platform, dataset)
     except BaseException:

@@ -13,7 +13,12 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from .apps import AppProfile
-from .patterns import ar1_noise_batch, pattern, regime_switching_levels
+from .patterns import (
+    ar1_noise_batch,
+    bernoulli_hits,
+    pattern,
+    regime_switching_levels,
+)
 
 #: Short traffic spikes (flash crowds) on top of the seasonal shape.
 #: Kept small: NEP bills the *daily peak*, so heavy spikes would dominate
@@ -69,10 +74,10 @@ def generate_bw_series_batch(profile: AppProfile, mean_mbps: np.ndarray,
     if erratic is not None and erratic.any():
         series[erratic] *= regime_switching_levels(
             int(erratic.sum()), points, rng)
-    spikes = rng.random((count, points)) < SPIKE_PROBABILITY
-    n_spikes = int(spikes.sum())
-    if n_spikes:
-        series[spikes] *= rng.uniform(*SPIKE_SCALE, size=n_spikes)
+    spikes = bernoulli_hits(count, points, SPIKE_PROBABILITY, rng)
+    if spikes.size:
+        series.reshape(-1)[spikes] *= rng.uniform(*SPIKE_SCALE,
+                                                  size=spikes.size)
     return np.maximum(series, 0.0, out=series)
 
 
@@ -85,12 +90,6 @@ def derive_private_series_batch(public_series: np.ndarray,
     wobble *= public_series
     wobble *= fractions[:, None]
     return wobble
-
-
-def derive_private_series(public_series: np.ndarray,
-                          rng: np.random.Generator) -> np.ndarray:
-    """Intra-site traffic derived from the public series."""
-    return derive_private_series_batch(public_series[None, :], rng)[0]
 
 
 def peak_to_mean_ratio(series: np.ndarray) -> float:

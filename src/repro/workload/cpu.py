@@ -16,33 +16,45 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from .apps import AppProfile
-from .patterns import ar1_noise_batch, pattern
+from .patterns import ar1_noise_batch, bernoulli_hits, pattern
 
 #: Burst magnitude range and hold time (intervals).
 BURST_SCALE = (1.6, 3.2)
 BURST_HOLD_INTERVALS = 4
 
 
-def _burst_multipliers(count: int, points: int, probability: float,
-                       rng: np.random.Generator) -> np.ndarray:
-    """Burst multiplier rows: short multiplicative spikes held a few steps.
+def _burst_cells(count: int, points: int, probability: float,
+                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Burst-covered cells of a ``(count, points)`` matrix and their
+    multipliers: short multiplicative spikes held a few steps.
 
-    One Bernoulli matrix picks every burst start across all rows; a burst
-    magnitude is held for :data:`BURST_HOLD_INTERVALS` steps by taking the
-    running maximum over shifted copies of the magnitude matrix.
+    Every burst start across all rows comes from one Bernoulli matrix
+    (drawn in slabs, keeping only the hits), then one magnitude per
+    start; a burst holds its magnitude for :data:`BURST_HOLD_INTERVALS`
+    steps within its row, and a cell under overlapping bursts takes the
+    largest.  Cells outside every burst keep multiplier 1.0, which
+    leaves them bit-unchanged, so they are not listed.
+
+    Returns:
+        ``(cells, multipliers)``: unique ascending flat indexes and the
+        multiplier of each.
     """
-    hits = rng.random((count, points)) < probability
-    magnitudes = np.zeros((count, points), dtype=np.float64)
-    n_hits = int(hits.sum())
-    if n_hits:
-        magnitudes[hits] = rng.uniform(*BURST_SCALE, size=n_hits)
-    multiplier = np.ones((count, points), dtype=np.float64)
-    for shift in range(BURST_HOLD_INTERVALS):
-        if shift >= points:
-            break
-        np.maximum(multiplier[:, shift:], magnitudes[:, :points - shift],
-                   out=multiplier[:, shift:])
-    return multiplier
+    starts = bernoulli_hits(count, points, probability, rng)
+    if not starts.size:
+        return starts, np.empty(0)
+    magnitudes = rng.uniform(*BURST_SCALE, size=starts.size)
+    columns = starts % points
+    cells, values = [starts], [magnitudes]
+    for shift in range(1, BURST_HOLD_INTERVALS):
+        held = columns + shift < points
+        cells.append(starts[held] + shift)
+        values.append(magnitudes[held])
+    cells, values = np.concatenate(cells), np.concatenate(values)
+    # Sort by cell, then magnitude: each cell's last entry is its max.
+    order = np.lexsort((values, cells))
+    cells, values = cells[order], values[order]
+    last = np.append(cells[1:] != cells[:-1], True)
+    return cells[last], values[last]
 
 
 def generate_cpu_series_batch(profile: AppProfile, mean_levels: np.ndarray,
@@ -79,8 +91,9 @@ def generate_cpu_series_batch(profile: AppProfile, mean_levels: np.ndarray,
     shape = w * season + (1.0 - w)
     series = ar1_noise_batch(count, points, rng, rho=profile.noise_rho,
                              sigma=profile.noise_sigma)
-    series *= _burst_multipliers(count, points, profile.burst_probability,
-                                 rng)
+    cells, multipliers = _burst_cells(count, points,
+                                      profile.burst_probability, rng)
+    series.reshape(-1)[cells] *= multipliers
     series *= shape[None, :]
     series *= mean_levels[:, None]
     return np.clip(series, 0.0, 1.0, out=series)

@@ -226,6 +226,9 @@ def generate_nep_workload(scenario: Scenario, jobs: int = 1,
                     vm_ids.append(vm.vm_id)
             if sink is not None:
                 sink.consume(vm_ids, block)
+            # A streamed block is on its way to disk; unbind it so its
+            # rows are freed before the next block arrives.
+            del block
         if sink is not None:
             sink.finalize(platform, dataset)
     except BaseException:

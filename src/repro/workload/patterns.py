@@ -17,6 +17,12 @@ from ..errors import ConfigurationError
 MINUTES_PER_DAY = 24 * 60
 DAYS_PER_WEEK = 7
 
+#: Bytes of one float64 row slab in the batched draws below.  numpy's
+#: ``Generator`` fills an array sequentially, so drawing a matrix slab
+#: by slab consumes the stream exactly as one whole-matrix draw does;
+#: slabs only bound the transient memory of a render.
+SLAB_BYTES = 4 << 20
+
 
 def time_axis_minutes(days: int, interval_minutes: int) -> np.ndarray:
     """Timestamps (minutes since start) for a trace of ``days`` days."""
@@ -139,40 +145,55 @@ def regime_switching_levels(count: int, points: int,
     return levels[segment_ids + offsets[:, None]]
 
 
-def regime_switching_level(points: int, rng: np.random.Generator,
-                           switch_probability: float = 0.004,
-                           low: float = 0.2, high: float = 2.5) -> np.ndarray:
-    """One row of :func:`regime_switching_levels` (scalar convenience)."""
-    return regime_switching_levels(1, points, rng, switch_probability,
-                                   low, high)[0]
+def slab_rows(points: int) -> int:
+    """Rows of ``points`` float64 cells in one :data:`SLAB_BYTES` slab
+    (at least one)."""
+    return max(1, SLAB_BYTES // (8 * int(points)))
+
+
+def bernoulli_hits(count: int, points: int, probability: float,
+                   rng: np.random.Generator) -> np.ndarray:
+    """Flat indexes of the true cells of ``rng.random((count, points)) <
+    probability``, ascending.
+
+    Consumes exactly the draws of that one call, but holds one row slab
+    of uniforms at a time and keeps only the hits, so a ~0.1% event
+    matrix costs its hits, not ``count * points`` cells.
+    """
+    step = slab_rows(points)
+    buffer = np.empty((min(step, count), points))
+    hits = []
+    for lo in range(0, count, step):
+        slab = buffer[:min(step, count - lo)]
+        rng.random(out=slab)
+        hits.append(np.flatnonzero(slab < probability) + lo * points)
+    return np.concatenate(hits)
 
 
 def ar1_noise_batch(count: int, points: int, rng: np.random.Generator,
                     rho: float = 0.9, sigma: float = 0.15) -> np.ndarray:
     """``count`` independent AR(1) noise rows as one ``(count, points)`` array.
 
-    All innovations come from a single normal draw; the recursion runs as
-    one :func:`scipy.signal.lfilter` along axis 1, so cost per row is a
-    fraction of the scalar path's.
+    Smooth multiplicative noise centred on 1.0 and floored at 0.05.
+    AR(1) rather than white noise: consecutive usage readings of a real
+    VM are strongly autocorrelated, and the §4.4 predictability
+    experiment depends on that.  The innovations are drawn and run
+    through :func:`scipy.signal.lfilter` one row slab at a time, straight
+    into the preallocated result, so the only transient is one slab; the
+    draws equal one ``(count, points)`` normal draw.
     """
     if not 0.0 <= rho < 1.0:
         raise ConfigurationError(f"rho must be in [0, 1), got {rho}")
     if count <= 0 or points <= 0:
         raise ConfigurationError("count and points must be positive")
-    innovations = rng.standard_normal((count, points))
-    innovations *= sigma * np.sqrt(1 - rho * rho)
-    noise = lfilter([1.0], [1.0, -rho], innovations, axis=1)
-    noise += 1.0
-    np.maximum(noise, 0.05, out=noise)
+    noise = np.empty((count, points))
+    scale = sigma * np.sqrt(1 - rho * rho)
+    step = slab_rows(points)
+    for lo in range(0, count, step):
+        slab = noise[lo:lo + step]
+        rng.standard_normal(out=slab)
+        slab *= scale
+        slab[...] = lfilter([1.0], [1.0, -rho], slab, axis=1)
+        slab += 1.0
+        np.maximum(slab, 0.05, out=slab)
     return noise
-
-
-def ar1_noise(points: int, rng: np.random.Generator, rho: float = 0.9,
-              sigma: float = 0.15) -> np.ndarray:
-    """Smooth multiplicative AR(1) noise centred on 1.0, floored at 0.05.
-
-    AR(1) rather than white noise: consecutive usage readings of a real VM
-    are strongly autocorrelated, and the §4.4 predictability experiment
-    depends on that.
-    """
-    return ar1_noise_batch(1, points, rng, rho, sigma)[0]

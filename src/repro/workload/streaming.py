@@ -7,7 +7,8 @@ gigabytes).  A :class:`WorkloadSink` gives the generators a third
 destination: each :class:`~repro.workload.series.SeriesBlock` is
 validated and appended to per-kind :class:`~repro.shards.ShardWriter`
 streams, so the parent process only ever holds one shard buffer per
-kind plus the block in flight.
+kind (:data:`~repro.shards.SHARD_BYTES`) plus the block in flight, and
+none once the sink is finalized or aborted.
 
 Two backings share one class:
 
@@ -30,6 +31,7 @@ pin that streamed output is bit-identical to the in-core path.
 from __future__ import annotations
 
 import atexit
+import os
 import shutil
 import tempfile
 from pathlib import Path
@@ -39,26 +41,60 @@ import numpy as np
 from ..config import Scenario
 from ..errors import ConfigurationError, TraceError
 from ..shards import (
-    DEFAULT_SHARD_ROWS,
+    SHARD_DTYPE,
     ShardWriter,
     load_sharded_series,
     write_shard_index,
 )
-from .series import SeriesBlock
-
-#: ``--streaming auto`` switches the sink on at or above this VM count.
-STREAMING_THRESHOLD_VMS = 100_000
+from .series import AZURE_RECIPE, NEP_RECIPE, SeriesBlock
 
 #: Accepted ``--streaming`` modes.
 STREAMING_MODES = ("auto", "on", "off")
 
 
+def projected_series_bytes(scenario: Scenario) -> int:
+    """Bytes the in-core path would hold for both platforms' series.
+
+    Every VM keeps one float32 CPU row and one bandwidth row, plus a
+    private-traffic row on platforms whose recipe logs it (NEP).
+    """
+    cpu_points = scenario.trace_minutes // scenario.cpu_interval_minutes
+    bw_points = scenario.trace_minutes // scenario.bw_interval_minutes
+    cells = 0
+    for vms, recipe in ((scenario.nep_vm_count, NEP_RECIPE),
+                        (scenario.azure_vm_count, AZURE_RECIPE)):
+        cells += vms * (cpu_points + bw_points * (2 if recipe.private
+                                                  else 1))
+    return cells * np.dtype(SHARD_DTYPE).itemsize
+
+
+def available_memory_bytes() -> int | None:
+    """The host's ``MemAvailable`` (Linux), else free or total physical
+    pages, or ``None`` where none of them can be read."""
+    try:
+        with open("/proc/meminfo") as handle:
+            for line in handle:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    for pages in ("SC_AVPHYS_PAGES", "SC_PHYS_PAGES"):
+        try:
+            return os.sysconf(pages) * os.sysconf("SC_PAGE_SIZE")
+        except (OSError, ValueError, AttributeError):
+            continue
+    return None
+
+
 def resolve_streaming(mode: str, scenario: Scenario) -> bool:
     """Whether a study at ``scenario`` should stream its workloads.
 
-    ``"on"``/``"off"`` force the path; ``"auto"`` enables it when either
-    platform's VM count reaches :data:`STREAMING_THRESHOLD_VMS` (the
-    point where in-core matrices stop fitting in commodity RAM).
+    ``"on"``/``"off"`` force the path; ``"auto"`` enables it when the
+    :func:`projected_series_bytes` of both platforms exceed half of
+    :func:`available_memory_bytes` (or always, where that cannot be
+    read).  The default tier needs ~0.2 GB and the city tier ~1.4 TB,
+    so on any host able to run either the former stays in core and the
+    latter streams.
 
     Raises:
         ConfigurationError: on an unknown mode.
@@ -69,8 +105,9 @@ def resolve_streaming(mode: str, scenario: Scenario) -> bool:
             f"{STREAMING_MODES}")
     if mode != "auto":
         return mode == "on"
-    return max(scenario.nep_vm_count,
-               scenario.azure_vm_count) >= STREAMING_THRESHOLD_VMS
+    available = available_memory_bytes()
+    return available is None or \
+        projected_series_bytes(scenario) > available // 2
 
 
 def _cleanup_spill(path: Path) -> None:
@@ -85,14 +122,13 @@ class WorkloadSink:
     per block, then :meth:`finalize` (or :meth:`abort` on failure).
     """
 
-    def __init__(self, root: Path, *, entry_writer=None, journal=None,
-                 shard_rows: int = DEFAULT_SHARD_ROWS) -> None:
+    def __init__(self, root: Path, *, entry_writer=None,
+                 journal=None) -> None:
         self.root = Path(root)
         #: Cache staging handle (``ArtifactCache.workload_writer``), or
         #: ``None`` for a plain spill directory.
         self._entry_writer = entry_writer
         self.journal = journal
-        self.shard_rows = shard_rows
         self._writers: dict[str, ShardWriter] = {}
         self._order: list[str] = []
         self._seen: set[str] = set()
@@ -104,17 +140,15 @@ class WorkloadSink:
 
     @classmethod
     def for_cache(cls, cache, artifact: str, scenario: Scenario,
-                  journal=None,
-                  shard_rows: int = DEFAULT_SHARD_ROWS) -> "WorkloadSink":
+                  journal=None) -> "WorkloadSink":
         """A sink writing straight into a new cache entry's staging dir."""
         writer = cache.workload_writer(artifact, scenario)
         return cls(writer.staging, entry_writer=writer,
-                   journal=journal if journal is not None else cache.journal,
-                   shard_rows=shard_rows)
+                   journal=journal if journal is not None else cache.journal)
 
     @classmethod
-    def spill(cls, directory: Path | str | None = None, journal=None,
-              shard_rows: int = DEFAULT_SHARD_ROWS) -> "WorkloadSink":
+    def spill(cls, directory: Path | str | None = None,
+              journal=None) -> "WorkloadSink":
         """A sink backed by a temporary spill directory (no cache).
 
         A created temp dir is removed at interpreter exit; an explicit
@@ -123,7 +157,7 @@ class WorkloadSink:
         if directory is None:
             directory = Path(tempfile.mkdtemp(prefix="repro-spill-"))
             atexit.register(_cleanup_spill, directory)
-        return cls(Path(directory), journal=journal, shard_rows=shard_rows)
+        return cls(Path(directory), journal=journal)
 
     # ---- streaming protocol ----------------------------------------------
 
@@ -137,8 +171,7 @@ class WorkloadSink:
             kinds.append(("private", bw_points))
         for kind, points in kinds:
             self._writers[kind] = ShardWriter(
-                self.root, kind, points, shard_rows=self.shard_rows,
-                on_flush=self._flush_hook(kind),
+                self.root, kind, points, on_flush=self._flush_hook(kind),
                 on_retry=self._retry_hook(kind))
 
     def _flush_hook(self, kind: str):
@@ -237,6 +270,8 @@ class WorkloadSink:
             return
         self._aborted = True
         self._done = True
+        for writer in self._writers.values():
+            writer.discard()
         if self._entry_writer is not None:
             self._entry_writer.abort()
         else:

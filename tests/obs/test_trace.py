@@ -170,6 +170,28 @@ class TestRenderers:
                 f"{'f' * 16}") in text
         assert text.endswith("result: no behavioural differences")
 
+    def test_canonical_diff_keeps_phase_timings(self):
+        # Canonical events carry no wall_s; the deltas come from the raw
+        # journals while the structural verdict stays canonical.
+        text = diff_journals(sample_events(wall=1.0),
+                             sample_events(wall=3.0), "a", "b",
+                             canonical=True)
+        assert "workload_nep           +2.000s (3.00x)" in text
+        assert "n/a" not in text
+        assert text.endswith("result: no behavioural differences")
+
+    def test_cli_diff_prints_phase_timings(self, tmp_path, capsys):
+        from repro.cli import main
+
+        fast, slow = tmp_path / "fast.jsonl", tmp_path / "slow.jsonl"
+        write_journal(fast, sample_events(wall=1.0))
+        write_journal(slow, sample_events(wall=1.5))
+        assert main(["trace", "diff", str(fast), str(slow)]) == 0
+        out = capsys.readouterr().out
+        assert "workload_nep           +0.500s (1.50x)" in out
+        assert "n/a" not in out
+        assert "result: no behavioural differences" in out
+
     def test_seed_change_is_behavioural(self):
         events = sample_events()
         reseeded = [dict(event) for event in events]

@@ -25,6 +25,8 @@ from repro.shards import ShardWriter, shard_path
 from repro.workload.streaming import WorkloadSink
 
 SCENARIO = Scenario.smoke_scale()
+#: Readings per smoke-scale row (CPU and bandwidth share the 5-min axis).
+SMOKE_POINTS = SCENARIO.trace_minutes // SCENARIO.cpu_interval_minutes
 
 
 @pytest.fixture(autouse=True)
@@ -132,12 +134,13 @@ class TestSimulatedEnospc:
 
     def test_streamed_entry_abort_after_enospc_cleans_up(self, tmp_path,
                                                          monkeypatch):
-        cache = ArtifactCache(tmp_path / "cache")
-        sink = WorkloadSink.for_cache(cache, "workload_nep", SCENARIO,
-                                      shard_rows=2)
-        sink.begin(cpu_points=8, bw_points=8, private=False)
-
         import repro.shards as shards_mod
+
+        # Two 8-point float32 rows per shard.
+        monkeypatch.setattr(shards_mod, "SHARD_BYTES", 2 * 8 * 4)
+        cache = ArtifactCache(tmp_path / "cache")
+        sink = WorkloadSink.for_cache(cache, "workload_nep", SCENARIO)
+        sink.begin(cpu_points=8, bw_points=8, private=False)
 
         def no_space(*_args, **_kwargs):
             raise OSError(errno.ENOSPC, "No space left on device")
@@ -190,12 +193,17 @@ class TestConcurrentEvictionRace:
 
 class TestVerifyRepair:
     def _sharded_entry(self, root):
+        import repro.shards as shards_mod
         from repro.workload.generator import generate_nep_workload
 
         cache = ArtifactCache(root)
-        sink = WorkloadSink.for_cache(cache, "workload_nep", SCENARIO,
-                                      shard_rows=8)
-        generate_nep_workload(SCENARIO, sink=sink)
+        sink = WorkloadSink.for_cache(cache, "workload_nep", SCENARIO)
+        budget = shards_mod.SHARD_BYTES
+        shards_mod.SHARD_BYTES = 8 * SMOKE_POINTS * 4  # 8 rows per shard
+        try:
+            generate_nep_workload(SCENARIO, sink=sink)
+        finally:
+            shards_mod.SHARD_BYTES = budget
         return cache
 
     def test_healthy_store_verifies_clean(self, tmp_path):

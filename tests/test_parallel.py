@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -180,6 +182,24 @@ def _nested_series(n_jobs):
     return _block_rows(blocks)
 
 
+#: Weak references to the results a worker returned (worker-side list).
+_REPLIES: list = []
+
+
+class _Reply:
+    """A task result the worker can hold a weak reference to."""
+
+
+def _remember_reply(_):
+    reply = _Reply()
+    _REPLIES.append(weakref.ref(reply))
+    return reply
+
+
+def _replies_alive(_):
+    return sum(ref() is not None for ref in _REPLIES)
+
+
 def _die_silently(_):
     import os
     import signal
@@ -292,3 +312,35 @@ class TestTaskFarm:
         with pytest.raises(ParallelError, match="t1 failed.*bad cell 1"):
             list(farm.in_order([("t0", _square, 0), ("t1", _explode, 1)]))
         farm.close()
+
+    def test_worker_frees_a_result_once_sent(self):
+        # One task at a time: both run on the same (first) worker, and
+        # the second looks at what the first one returned.
+        from repro.parallel import TaskFarm
+        with TaskFarm(2) as farm:
+            farm.submit("make", _remember_reply, None)
+            assert farm.next_outcome().ok
+            farm.submit("probe", _replies_alive, None)
+            outcome = farm.next_outcome()
+        assert outcome.ok, outcome.error
+        assert outcome.value == 0
+
+
+class TestInOrder:
+    def test_keeps_no_yielded_result(self):
+        # Results 1 and 2 arrive before 0; once the consumer drops a
+        # yielded result, nothing in the generator may keep it alive.
+        from repro.parallel import _in_order
+
+        results = {i: _Reply() for i in range(4)}
+        refs = {i: weakref.ref(r) for i, r in results.items()}
+        arrivals = iter([1, 2, 0, 3])
+
+        def collect():
+            key = next(arrivals)
+            return key, results.pop(key)
+
+        ordered = _in_order(4, 4, lambda index: None, collect, lambda: None)
+        for index in range(4):
+            assert isinstance(next(ordered), _Reply)
+            assert refs[index]() is None

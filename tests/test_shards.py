@@ -12,6 +12,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+import weakref
 
 import numpy as np
 import pytest
@@ -19,18 +20,22 @@ import pytest
 from repro.cache import ArtifactCache
 from repro.config import Scenario
 from repro.errors import TraceError
+import repro.shards as shards_mod
 from repro.shards import (
-    DEFAULT_SHARD_ROWS,
+    SHARD_BYTES,
     ShardedSeriesMap,
     ShardLayout,
     ShardWriter,
     load_sharded_series,
     read_shard_index,
     shard_path,
+    shard_rows_for,
     write_shard_index,
 )
 
 SCENARIO = Scenario.smoke_scale()
+#: Readings per smoke-scale row (CPU and bandwidth share the 5-min axis).
+SMOKE_POINTS = SCENARIO.trace_minutes // SCENARIO.cpu_interval_minutes
 
 
 def _write_store(root, rows=10, points=16, shard_rows=4, kind="cpu"):
@@ -83,6 +88,30 @@ class TestShardWriter:
         with pytest.raises(TraceError):
             writer.append(np.zeros((2, 9), dtype=np.float32))
 
+    def test_rows_sized_by_bytes(self, tmp_path):
+        # 92 days at 1-minute CPU and 5-minute bandwidth readings.
+        assert shard_rows_for(132_480) == 126
+        assert shard_rows_for(26_496) == 633
+        assert shard_rows_for(SHARD_BYTES) == 1  # a row above budget
+        writer = ShardWriter(tmp_path, "cpu", 132_480)
+        assert writer.shard_rows == 126
+        assert writer._buffer.nbytes <= SHARD_BYTES
+
+    def test_finalize_and_discard_free_the_buffer(self, tmp_path):
+        writer = ShardWriter(tmp_path, "cpu", 8, shard_rows=4)
+        buffer = weakref.ref(writer._buffer)
+        writer.append(np.ones((5, 8), dtype=np.float32))
+        layout = writer.finalize()
+        assert buffer() is None
+        assert writer.finalize() == layout
+        doomed = ShardWriter(tmp_path, "bw", 8, shard_rows=4)
+        buffer = weakref.ref(doomed._buffer)
+        doomed.append(np.ones((2, 8), dtype=np.float32))
+        doomed.discard()
+        assert buffer() is None
+        with pytest.raises(TraceError):
+            doomed.append(np.ones((1, 8), dtype=np.float32))
+
     def test_bad_geometry_rejected(self, tmp_path):
         with pytest.raises(TraceError):
             ShardWriter(tmp_path, "cpu", 0)
@@ -117,6 +146,28 @@ class TestShardedSeriesMap:
             seen_rows.append(np.asarray(window))
         assert seen_ids == order
         assert np.array_equal(np.concatenate(seen_rows), data)
+
+    def test_random_reads_keep_two_maps_open(self, tmp_path):
+        order, data = _write_store(tmp_path, rows=10, shard_rows=2)
+        series = load_sharded_series(tmp_path, {"cpu": order})["cpu"]
+        rng = np.random.default_rng(3)
+        rows = []
+        for i in rng.integers(0, 10, size=40):
+            rows.append((i, series[order[i]]))
+            assert len(series._maps) <= ShardedSeriesMap.OPEN_MAPS == 2
+        # Rows served from an evicted map stay valid views.
+        for i, row in rows:
+            assert np.array_equal(row, data[i])
+
+    def test_iter_windows_caches_no_map(self, tmp_path):
+        order, data = _write_store(tmp_path, rows=10, shard_rows=4)
+        series = load_sharded_series(tmp_path, {"cpu": order})["cpu"]
+        for _, window in series.iter_windows():
+            assert window.shape[0] <= 4
+            assert not series._maps
+        assert not series._maps
+        series[order[9]]
+        assert list(series._maps) == [2]
 
     def test_window_rows_must_be_positive(self, tmp_path):
         order, _ = _write_store(tmp_path)
@@ -188,9 +239,9 @@ def _stream_bomb(root: str) -> None:
     """SIGKILL this process while a sharded cache entry is mid-write."""
     from repro.workload.streaming import WorkloadSink
 
+    shards_mod.SHARD_BYTES = 2 * 16 * 4  # two 16-point rows per shard
     cache = ArtifactCache(root)
-    sink = WorkloadSink.for_cache(cache, "workload_nep", SCENARIO,
-                                  shard_rows=2)
+    sink = WorkloadSink.for_cache(cache, "workload_nep", SCENARIO)
     sink.begin(cpu_points=16, bw_points=16, private=False)
     block = type("B", (), {})()
     block.app_id = "bomb"
@@ -222,13 +273,14 @@ class TestCrashMidShardWrite:
 
 
 class TestShardedCacheEntries:
-    def test_entries_report_shard_counts(self, tmp_path):
+    def test_entries_report_shard_counts(self, tmp_path, monkeypatch):
         from repro.workload.generator import generate_nep_workload
         from repro.workload.streaming import WorkloadSink
 
         cache = ArtifactCache(tmp_path / "cache")
-        sink = WorkloadSink.for_cache(cache, "workload_nep", SCENARIO,
-                                      shard_rows=8)
+        sink = WorkloadSink.for_cache(cache, "workload_nep", SCENARIO)
+        monkeypatch.setattr(shards_mod, "SHARD_BYTES",
+                            8 * SMOKE_POINTS * 4)  # 8 rows per shard
         generate_nep_workload(SCENARIO, sink=sink)
         entry = cache.entries()[0]
         assert entry.kind == "workload-shards"
@@ -240,13 +292,14 @@ class TestShardedCacheEntries:
         assert info["shard_files"] == entry.shards
         assert info["bytes"] == entry.bytes > 0
 
-    def test_corrupt_shard_evicts_entry(self, tmp_path):
+    def test_corrupt_shard_evicts_entry(self, tmp_path, monkeypatch):
         from repro.workload.generator import generate_nep_workload
         from repro.workload.streaming import WorkloadSink
 
         cache = ArtifactCache(tmp_path / "cache")
-        sink = WorkloadSink.for_cache(cache, "workload_nep", SCENARIO,
-                                      shard_rows=8)
+        sink = WorkloadSink.for_cache(cache, "workload_nep", SCENARIO)
+        monkeypatch.setattr(shards_mod, "SHARD_BYTES",
+                            8 * SMOKE_POINTS * 4)  # 8 rows per shard
         generate_nep_workload(SCENARIO, sink=sink)
         entry = cache.entries()[0]
         victim = next(iter(entry.path.rglob("shard-00000.npy")))

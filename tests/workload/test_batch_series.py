@@ -2,17 +2,25 @@
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from repro.errors import ConfigurationError
+from repro.workload import patterns
 from repro.workload.apps import NEP_PROFILES, profiles_by_category
 from repro.workload.bandwidth import (
-    derive_private_series,
+    PRIVATE_FRACTION_RANGE,
     derive_private_series_batch,
     generate_bw_series_batch,
 )
-from repro.workload.cpu import generate_cpu_series_batch
+from repro.workload.cpu import (
+    BURST_HOLD_INTERVALS,
+    BURST_SCALE,
+    _burst_cells,
+    generate_cpu_series_batch,
+)
 from repro.workload.patterns import (
     ar1_noise_batch,
+    bernoulli_hits,
     regime_switching_levels,
     time_axis_minutes,
 )
@@ -33,12 +41,11 @@ class TestPatternBatches:
         assert abs(correlation) < 0.1
 
     def test_ar1_scalar_is_batch_row(self):
-        # The scalar wrapper draws through the same batched code path.
-        from repro.workload.patterns import ar1_noise
-
-        scalar = ar1_noise(300, np.random.default_rng(9))
-        batch = ar1_noise_batch(1, 300, np.random.default_rng(9))
-        np.testing.assert_allclose(scalar, batch[0])
+        # A one-row draw is the first row of a wider batch: the normals
+        # fill row-major, and the filter runs per row.
+        scalar = ar1_noise_batch(1, 300, np.random.default_rng(9))
+        batch = ar1_noise_batch(3, 300, np.random.default_rng(9))
+        np.testing.assert_array_equal(scalar[0], batch[0])
 
     def test_regime_levels_shape_and_bounds(self, rng):
         levels = regime_switching_levels(6, 500, rng, low=0.2, high=2.5)
@@ -129,9 +136,115 @@ class TestBandwidthBatch:
         assert private.mean() < public.mean()
 
     def test_private_scalar_matches_batch_path(self):
+        # One row is public x fraction x wobble, drawn in that order.
         public = generate_bw_series_batch(PROFILE, np.array([30.0]), WEEK,
                                           np.random.default_rng(41))[0]
-        scalar = derive_private_series(public, np.random.default_rng(42))
         batch = derive_private_series_batch(public[None, :],
                                             np.random.default_rng(42))
-        np.testing.assert_allclose(scalar, batch[0])
+        rng = np.random.default_rng(42)
+        fraction = rng.uniform(*PRIVATE_FRACTION_RANGE, size=1)
+        wobble = ar1_noise_batch(1, WEEK.size, rng, rho=0.8, sigma=0.3)[0]
+        np.testing.assert_array_equal(batch[0],
+                                      wobble * public * fraction[0])
+
+
+def _dense_ar1(count, points, rng, rho=0.9, sigma=0.15):
+    """The whole-matrix AR(1) draw that the slabbed one must equal."""
+    innovations = rng.standard_normal((count, points))
+    innovations *= sigma * np.sqrt(1 - rho * rho)
+    noise = lfilter([1.0], [1.0, -rho], innovations, axis=1)
+    noise += 1.0
+    np.maximum(noise, 0.05, out=noise)
+    return noise
+
+
+def _burst_multipliers(count, points, probability, rng):
+    """The dense burst matrix the sparse bursts replaced (test oracle)."""
+    hits = rng.random((count, points)) < probability
+    magnitudes = np.zeros((count, points), dtype=np.float64)
+    n_hits = int(hits.sum())
+    if n_hits:
+        magnitudes[hits] = rng.uniform(*BURST_SCALE, size=n_hits)
+    multiplier = np.ones((count, points), dtype=np.float64)
+    for shift in range(BURST_HOLD_INTERVALS):
+        if shift >= points:
+            break
+        np.maximum(multiplier[:, shift:], magnitudes[:, :points - shift],
+                   out=multiplier[:, shift:])
+    return multiplier
+
+
+class TestSlabDraws:
+    """Slab-by-slab draws consume the stream exactly like one call."""
+
+    @pytest.fixture
+    def small_slabs(self, monkeypatch):
+        # 3 rows of 50 float64 cells per slab: never divides count=10.
+        monkeypatch.setattr(patterns, "SLAB_BYTES", 3 * 50 * 8)
+        assert patterns.slab_rows(50) == 3
+
+    def test_ar1_slabs_equal_one_draw(self, small_slabs):
+        slabbed_rng = np.random.default_rng(5)
+        dense_rng = np.random.default_rng(5)
+        slabbed = ar1_noise_batch(10, 50, slabbed_rng, rho=0.7, sigma=0.4)
+        dense = _dense_ar1(10, 50, dense_rng, rho=0.7, sigma=0.4)
+        np.testing.assert_array_equal(slabbed, dense)
+        assert slabbed_rng.random() == dense_rng.random()
+
+    def test_bernoulli_hits_equal_one_matrix(self, small_slabs):
+        slabbed_rng = np.random.default_rng(6)
+        dense_rng = np.random.default_rng(6)
+        hits = bernoulli_hits(10, 50, 0.05, slabbed_rng)
+        dense = np.flatnonzero(dense_rng.random((10, 50)) < 0.05)
+        np.testing.assert_array_equal(hits, dense)
+        assert hits.size > 0
+        assert slabbed_rng.random() == dense_rng.random()
+
+    def test_slab_rows_fit_the_budget(self):
+        for points in (50, 8064, 132_480):
+            rows = patterns.slab_rows(points)
+            assert rows >= 1
+            assert rows * points * 8 <= patterns.SLAB_BYTES
+            assert (rows + 1) * points * 8 > patterns.SLAB_BYTES
+        assert patterns.slab_rows(10 ** 9) == 1
+
+
+class TestSparseBursts:
+    """Sparse burst cells reproduce the dense multiplier bit for bit."""
+
+    @pytest.mark.parametrize("count,points,probability,seed", [
+        (7, 40, 0.15, 1),     # overlapping bursts
+        (5, 9, 0.5, 2),       # hits in the last 3 columns of most rows
+        (6, 3, 0.4, 3),       # points < BURST_HOLD_INTERVALS
+        (4, 1, 0.5, 4),
+        (3, 2, 0.9, 5),
+        (4, 30, 0.0, 6),      # no burst at all: no magnitude draw
+        (4, 30, 1.0, 7),      # every cell starts a burst
+        (64, 2016, 0.001, 8),
+    ])
+    def test_equal_to_dense_multiplier(self, count, points, probability,
+                                       seed):
+        base = np.random.default_rng(99).uniform(0.05, 2.0,
+                                                 (count, points))
+        dense_rng = np.random.default_rng(seed)
+        sparse_rng = np.random.default_rng(seed)
+        expected = base * _burst_multipliers(count, points, probability,
+                                             dense_rng)
+        cells, multipliers = _burst_cells(count, points, probability,
+                                          sparse_rng)
+        actual = base.copy()
+        actual.reshape(-1)[cells] *= multipliers
+        np.testing.assert_array_equal(actual, expected)
+        assert sparse_rng.random() == dense_rng.random()
+        assert np.all(np.diff(cells) > 0)
+
+    def test_cases_cover_overlaps_and_row_ends(self):
+        cells, _ = _burst_cells(7, 40, 0.15, np.random.default_rng(1))
+        starts = np.flatnonzero(
+            np.random.default_rng(1).random((7, 40)) < 0.15)
+        # Some cell is held by two bursts, and some burst starts in the
+        # last 3 columns of its row, so its hold is cut at the row end.
+        same_row = np.diff(starts // 40) == 0
+        assert np.any(same_row & (np.diff(starts) < BURST_HOLD_INTERVALS))
+        assert np.any(starts % 40 >= 40 - 3)
+        assert np.all(cells // 40 < 7)

@@ -6,7 +6,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.workload.apps import NEP_PROFILES, profiles_by_category
 from repro.workload.bandwidth import (
-    derive_private_series,
+    derive_private_series_batch,
     generate_bw_series_batch,
     peak_to_mean_ratio,
 )
@@ -119,7 +119,7 @@ class TestPrivateSeries:
     def test_small_fraction_of_public(self, rng):
         public = generate_bw_series_batch(
             PROFILES["cdn"], np.array([100.0]), MINUTES, rng)[0]
-        private = derive_private_series(public, rng)
+        private = derive_private_series_batch(public[None, :], rng)[0]
         assert private.mean() < 0.15 * public.mean()
         assert private.min() >= 0.0
 

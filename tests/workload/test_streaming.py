@@ -8,6 +8,9 @@ path, and that the sink protocol rejects misuse.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -17,9 +20,10 @@ from repro.errors import ConfigurationError, TraceError
 from repro.study import scenario_for
 from repro.workload.azure import generate_azure_workload
 from repro.workload.generator import generate_nep_workload
+from repro.workload import streaming as streaming_mod
 from repro.workload.streaming import (
-    STREAMING_THRESHOLD_VMS,
     WorkloadSink,
+    projected_series_bytes,
     resolve_streaming,
 )
 
@@ -33,11 +37,26 @@ class TestResolveStreaming:
         assert resolve_streaming("on", SCENARIO) is True
         assert resolve_streaming("off", SCENARIO) is False
 
-    def test_auto_follows_vm_threshold(self):
+    def test_auto_follows_projected_bytes(self, monkeypatch):
+        need = projected_series_bytes(SCENARIO)
+        # smoke: 120 VMs per platform x 2016 points x (3 + 2) rows x 4 B.
+        assert need == 120 * 2016 * 5 * 4
+        monkeypatch.setattr(streaming_mod, "available_memory_bytes",
+                            lambda: 2 * need)
         assert resolve_streaming("auto", SCENARIO) is False
-        big = SCENARIO.with_overrides(
-            azure_vm_count=STREAMING_THRESHOLD_VMS)
-        assert resolve_streaming("auto", big) is True
+        monkeypatch.setattr(streaming_mod, "available_memory_bytes",
+                            lambda: 2 * need - 1)
+        assert resolve_streaming("auto", SCENARIO) is True
+        monkeypatch.setattr(streaming_mod, "available_memory_bytes",
+                            lambda: None)
+        assert resolve_streaming("auto", SCENARIO) is True
+
+    def test_tiers_on_a_7_gb_host(self, monkeypatch):
+        monkeypatch.setattr(streaming_mod, "available_memory_bytes",
+                            lambda: 7 << 30)
+        assert resolve_streaming("auto", scenario_for("default")) is False
+        assert resolve_streaming("auto", scenario_for("paper")) is True
+        assert resolve_streaming("auto", scenario_for("city")) is True
 
     def test_city_tier_streams_by_default(self):
         assert resolve_streaming("auto", Scenario.city_scale()) is True
@@ -154,6 +173,43 @@ class TestSinkProtocol:
         assert not root.exists()
         with pytest.raises(TraceError):
             sink.consume(["c"], self._block(n=1))
+
+    def test_finalize_frees_shard_buffers_without_gc(self, tmp_path,
+                                                     monkeypatch):
+        # Each writer's flush hooks close a cycle back to the sink, so a
+        # buffer left on a finalized writer would live until the cyclic
+        # collector runs (and into every worker forked before then).
+        buffers = []
+        begin = WorkloadSink.begin
+
+        def tracking_begin(sink, *args, **kwargs):
+            begin(sink, *args, **kwargs)
+            buffers.extend(weakref.ref(writer._buffer)
+                           for writer in sink._writers.values())
+
+        monkeypatch.setattr(WorkloadSink, "begin", tracking_begin)
+        gc.disable()
+        try:
+            generate_nep_workload(SCENARIO,
+                                  sink=WorkloadSink.spill(tmp_path / "nep"))
+            assert len(buffers) == 3
+            assert all(ref() is None for ref in buffers)
+        finally:
+            gc.enable()
+
+    def test_abort_frees_shard_buffers_without_gc(self, tmp_path):
+        gc.disable()
+        try:
+            sink = WorkloadSink.spill(tmp_path / "spill")
+            sink.begin(8, 8, private=False)
+            buffers = [weakref.ref(writer._buffer)
+                       for writer in sink._writers.values()]
+            sink.consume(["a", "b"], self._block())
+            sink.abort()
+            assert len(buffers) == 2
+            assert all(ref() is None for ref in buffers)
+        finally:
+            gc.enable()
 
     def test_abort_is_idempotent(self, tmp_path):
         # The generator aborts on a mid-stream failure and the study
